@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"phish/internal/types"
@@ -35,28 +34,50 @@ type Closure struct {
 	// attempt, not a fresh execution, so the counters don't recount it.
 	// Local-only: it does not travel the wire.
 	preempted bool
-	// execNS accumulates this worker's execution time across the attempt's
-	// slices (a checkpointing body yields between slices), and freshLocal
-	// records that the attempt started from scratch here — together they
-	// let completion report the Fn's full local cost to the speculation
-	// track even for bodies that checkpoint mid-run. Local-only.
+	// timed records the attempt's one timing decision (see
+	// fnEntry.timeAttempt), so a preempted attempt's slices are all timed
+	// or all untimed. execNS accumulates a timed attempt's execution time
+	// across its slices (a checkpointing body yields between slices), and
+	// freshLocal records that the attempt started from scratch here —
+	// together they let completion report the Fn's full local cost to the
+	// speculation track even for bodies that checkpoint mid-run.
+	// Local-only.
+	timed      bool
 	execNS     int64
 	freshLocal bool
+	// argBuf backs Args for up to two slots (a binary join's arity), so a
+	// new closure needs no second allocation for its arguments.
+	argBuf [2]types.Value
 }
 
 // ready reports whether all argument slots are filled.
 func (c *Closure) ready() bool { return c.Missing == 0 }
 
-// closurePool recycles Closure structs and their Args backing arrays. The
-// spawn→synch→execute cycle allocates one closure per task — by far the
-// scheduler's hottest allocation — so executed, stolen-and-shipped, and
-// purged closures go back to the pool instead of the garbage collector.
-var closurePool = sync.Pool{New: func() any { return new(Closure) }}
+// maxFreeClosures caps a worker's closure free list. LIFO execution keeps
+// the live set near the DAG's depth, so a few hundred recycled closures
+// cover the spawn→synch→execute cycle; the cap stops a breadth-first burst
+// (a migration, a FIFO run) from pinning its peak working set forever.
+// closureSlab is how many closures one allocation makes when the list runs
+// dry, so a growing working set costs one allocation per slab.
+const (
+	maxFreeClosures = 1024
+	closureSlab     = 32
+)
 
-// newClosure returns a zeroed closure from the pool. Its Args slice keeps
-// whatever capacity it had in its previous life.
-func newClosure() *Closure {
-	return closurePool.Get().(*Closure)
+// newClosure returns a zeroed closure from the worker's free list. Its Args
+// slice keeps whatever capacity it had in its previous life. Scheduler
+// goroutine only, like every other closure operation.
+func (w *Worker) newClosure() *Closure {
+	if len(w.freeCl) == 0 {
+		slab := make([]Closure, closureSlab)
+		for i := range slab {
+			slab[i].Args = slab[i].argBuf[:0]
+			w.freeCl = append(w.freeCl, &slab[i])
+		}
+	}
+	c := w.freeCl[len(w.freeCl)-1]
+	w.freeCl = w.freeCl[:len(w.freeCl)-1]
+	return c
 }
 
 // setArgs fills the closure's argument slots with a copy of args, reusing
@@ -79,16 +100,19 @@ func (c *Closure) growArgs(n int) {
 	}
 }
 
-// free returns the closure to the pool. The caller must be the closure's
-// only remaining referent. Argument slots are nilled so pooled closures
-// don't pin application data against the collector.
-func (c *Closure) free() {
+// free returns c to the worker's free list. The caller must be the
+// closure's only remaining referent. Argument slots are nilled so recycled
+// closures don't pin application data against the collector.
+func (w *Worker) free(c *Closure) {
+	if len(w.freeCl) >= maxFreeClosures {
+		return
+	}
 	args := c.Args[:cap(c.Args)]
 	for i := range args {
 		args[i] = nil
 	}
 	*c = Closure{Args: args[:0]}
-	closurePool.Put(c)
+	w.freeCl = append(w.freeCl, c)
 }
 
 // setCkpt installs a newer checkpoint blob, copying it so the closure
@@ -118,18 +142,18 @@ func (c *Closure) toWire() wire.Closure {
 	return wc
 }
 
-// closureFromView adopts a zero-copy closure view into a pooled closure,
+// closureFromView adopts a zero-copy closure view into a recycled closure,
 // copying every field out of the arena-backed frame: after this the
 // closure owns its data and the view can be freed. Args decode straight
-// onto the pooled closure's recycled backing array.
-func closureFromView(v wire.ClosureView) (*Closure, error) {
-	c := newClosure()
+// onto the recycled closure's backing array.
+func (w *Worker) closureFromView(v wire.ClosureView) (*Closure, error) {
+	c := w.newClosure()
 	c.ID = v.ID()
 	c.Fn = v.Fn()
 	args, err := v.AppendArgs(c.Args[:0])
 	c.Args = args
 	if err != nil {
-		c.free()
+		w.free(c)
 		return nil, err
 	}
 	c.Missing = v.Missing()
@@ -144,20 +168,20 @@ func closureFromView(v wire.ClosureView) (*Closure, error) {
 	return c, nil
 }
 
-// closureFromWire converts an inbound wire closure into a pooled closure.
-func closureFromWire(w wire.Closure) *Closure {
-	c := newClosure()
-	c.ID = w.ID
-	c.Fn = w.Fn
-	c.setArgs(w.Args)
-	c.Missing = w.Missing
-	c.Cont = w.Cont
-	c.NoSteal = w.NoSteal
-	c.TC = w.TC
-	if w.Ckpt != nil {
-		c.setCkpt(w.Ckpt, w.CkptSeq)
+// closureFromWire converts an inbound wire closure into a recycled closure.
+func (w *Worker) closureFromWire(wc wire.Closure) *Closure {
+	c := w.newClosure()
+	c.ID = wc.ID
+	c.Fn = wc.Fn
+	c.setArgs(wc.Args)
+	c.Missing = wc.Missing
+	c.Cont = wc.Cont
+	c.NoSteal = wc.NoSteal
+	c.TC = wc.TC
+	if wc.Ckpt != nil {
+		c.setCkpt(wc.Ckpt, wc.CkptSeq)
 	} else {
-		c.CkptSeq = w.CkptSeq
+		c.CkptSeq = wc.CkptSeq
 	}
 	return c
 }

@@ -129,7 +129,7 @@ func (t *TaskCtx) SuccessorCont(fn string, nslots int, cont types.Continuation) 
 	if nslots <= 0 {
 		panic("core: successor needs at least one slot")
 	}
-	cl := newClosure()
+	cl := t.w.newClosure()
 	cl.ID = t.w.nextTaskID()
 	cl.Fn = fn
 	cl.growArgs(nslots)
@@ -148,7 +148,12 @@ func (t *TaskCtx) Preset(s model.Succ, slot int, v types.Value) {
 	if v == nil {
 		panic("core: nil task argument")
 	}
-	t.w.fillSlot(types.Continuation{Task: s.Task(), Slot: int32(slot)}, v, false, false)
+	cl, ok := t.w.waiting[s.Task()]
+	if !ok {
+		t.w.orphanDrops.Add(1)
+		return
+	}
+	t.w.fillSlot(cl, int32(slot), v, false, false)
 }
 
 // Spawn creates a ready child task of fn with the given arguments, whose

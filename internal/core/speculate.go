@@ -20,15 +20,17 @@ import (
 // execStats is one Fn's execution-time track: EWMA mean and mean absolute
 // deviation, from which the speculation rule approximates p99 as
 // mean + 3×dev (exact enough for a threshold that is then multiplied by
-// K anyway). Scheduler goroutine only.
+// K anyway). It is fed by the timed attempts only (see timeAttempt), which
+// the sampling rule keeps an unbiased subset. Scheduler goroutine only.
 type execStats struct {
 	mean float64 // ns
 	dev  float64 // ns, EWMA of |sample - mean|
 	n    int64
 }
 
-// execWarmup is how many completed executions an Fn needs before its p99
-// estimate may trigger speculation.
+// execWarmup is how many timed, completed, from-scratch executions an Fn
+// needs before its p99 estimate may trigger speculation. A cold Fn is timed
+// on every attempt, so its track warms within execWarmup runs.
 const execWarmup = 8
 
 func (e *execStats) observe(d time.Duration) {
@@ -47,15 +49,44 @@ func (e *execStats) warm() bool { return e.n >= execWarmup }
 
 func (e *execStats) p99() time.Duration { return time.Duration(e.mean + 3*e.dev) }
 
-// noteExec folds one completed (unpreempted) execution of fn into its
-// track.
-func (w *Worker) noteExec(fn string, d time.Duration) {
-	es, ok := w.fnExec[fn]
-	if !ok {
-		es = &execStats{}
-		w.fnExec[fn] = es
+// fnEntry is one task function as a worker runs it: the body, its
+// execution-time track, and the sampling counter, so the per-task path
+// finds all three with one map lookup. Scheduler goroutine only.
+type fnEntry struct {
+	fn    TaskFunc
+	exec  execStats
+	skips int // untimed fresh attempts since the last timed one
+}
+
+// Exec timing is sampled: reading the clock twice per task costs more than
+// a fine-grained body (fib's leaves run in tens of nanoseconds), so only
+// some fresh attempts are timed.
+const (
+	// execSampleEvery times one in this many fresh attempts of a warm,
+	// fine-grained Fn.
+	execSampleEvery = 64
+	// coarseExecNS marks a coarse Fn, timed on every attempt: a clock
+	// pair (two time.Now reads, about 100 ns on a 2-core Xeon VM) is then
+	// at most 1% of the body.
+	coarseExecNS = 10_000
+)
+
+// timeAttempt decides whether the fresh attempt about to start is timed:
+// always until the track is warm and for coarse Fns, otherwise every
+// execSampleEvery-th attempt. Sampling is blind to the attempt's duration,
+// so the track's mean and deviation stay unbiased estimates of the Fn's
+// cost, and so do the TaskExec histogram's per-worker sum/count deltas
+// that the health plane reads.
+func (e *fnEntry) timeAttempt() bool {
+	if !e.exec.warm() || e.exec.mean >= coarseExecNS {
+		return true
 	}
-	es.observe(d)
+	e.skips++
+	if e.skips < execSampleEvery {
+		return false
+	}
+	e.skips = 0
+	return true
 }
 
 // suspectMark is one blacklist entry. Suspicion has two tiers: local
@@ -164,7 +195,8 @@ func (w *Worker) healthyOf(in []types.WorkerID, scratch *[]types.WorkerID) []typ
 
 // maybeSpeculate scans the steal records for tasks held by suspect thieves
 // past the speculation deadline and redoes them locally. Internally paced;
-// cheap (three comparisons) when there is nothing to do. Scheduler
+// cheap (three comparisons) when there is nothing to do, and the loop only
+// reads the clock for it when there are suspects and records. Scheduler
 // goroutine only.
 func (w *Worker) maybeSpeculate(now time.Time) {
 	k := w.cfg.speculateAfter()
@@ -190,11 +222,11 @@ func (w *Worker) maybeSpeculate(now time.Time) {
 		if !w.isGradedSuspect(rec.thief, now) {
 			continue
 		}
-		es := w.fnExec[rec.task.Fn]
-		if es == nil || !es.warm() {
+		fe := w.fnCache[rec.task.Fn]
+		if fe == nil || !fe.exec.warm() {
 			continue // never ran this Fn locally: no deadline to hold it to
 		}
-		deadline := time.Duration(k * float64(es.p99()))
+		deadline := time.Duration(k * float64(fe.exec.p99()))
 		// Floor at the steal timeout: however fast the Fn, the thief needed
 		// at least a round trip plus queueing before "still outstanding"
 		// means anything.

@@ -45,12 +45,16 @@ type Worker struct {
 	records map[types.TaskID]*stealRecord
 	seq     uint64
 	rng     *rand.Rand
-	// fnCache memoizes registry lookups (lock-free: only the scheduler
-	// goroutine touches it), and ctx is the one TaskCtx reused across
-	// executions — valid because task bodies run to completion and must
-	// not retain their context.
-	fnCache map[string]TaskFunc
+	// fnCache memoizes registry lookups together with each Fn's
+	// execution-time track (lock-free: only the scheduler goroutine
+	// touches it), and ctx is the one TaskCtx reused across executions —
+	// valid because task bodies run to completion and must not retain
+	// their context.
+	fnCache map[string]*fnEntry
 	ctx     TaskCtx
+	// freeCl recycles closures (see newClosure); every closure operation
+	// runs on the scheduler goroutine, so it needs no synchronization.
+	freeCl []*Closure
 
 	view          wire.MembershipView
 	hostOf        map[types.WorkerID]types.WorkerID
@@ -78,11 +82,10 @@ type Worker struct {
 	lastRetry time.Time
 
 	// Graded health (see speculate.go): the expiry-stamped suspect
-	// blacklist, the per-Fn execution-time tracks behind the speculation
-	// deadline, the speculation-scan pacer, and scratch for suspect-aware
-	// victim picks. Scheduler goroutine only.
+	// blacklist, the speculation-scan pacer, and scratch for suspect-aware
+	// victim picks (the per-Fn execution-time tracks behind the
+	// speculation deadline live in fnCache). Scheduler goroutine only.
 	suspect      map[types.WorkerID]suspectMark
-	fnExec       map[string]*execStats
 	lastSpecScan time.Time
 	victimsScr   []types.WorkerID
 	localsScr    []types.WorkerID
@@ -180,7 +183,7 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		clk:         clk,
 		waiting:     make(map[types.TaskID]*Closure),
 		records:     make(map[types.TaskID]*stealRecord),
-		fnCache:     make(map[string]TaskFunc),
+		fnCache:     make(map[string]*fnEntry),
 		rng:         rand.New(rand.NewSource(cfg.Seed + int64(id)*0x9e3779b9)),
 		hostOf:      make(map[types.WorkerID]types.WorkerID),
 		siteOf:      make(map[types.WorkerID]int32),
@@ -188,7 +191,6 @@ func NewWorker(job types.JobID, id types.WorkerID, prog *Program, conn phishnet.
 		msgRecvFr:   make(map[types.WorkerID]int64),
 		dead:        make(map[types.WorkerID]bool),
 		suspect:     make(map[types.WorkerID]suspectMark),
-		fnExec:      make(map[string]*execStats),
 		forwardTo:   types.NoWorker,
 		stealVictim: types.NoWorker,
 		ckptPub:     make(map[types.TaskID]wire.TaskCkpt),
@@ -578,7 +580,9 @@ func (w *Worker) loop() {
 		w.drainAll()
 		w.retryUnsent(false)
 		w.maybeReRegister()
-		w.maybeSpeculate(time.Now())
+		if len(w.suspect) > 0 && len(w.records) > 0 {
+			w.maybeSpeculate(time.Now())
+		}
 		if w.shutdownMsg || w.crashReq.Load() {
 			return
 		}
@@ -615,31 +619,46 @@ func (w *Worker) popNext() (*Closure, bool) {
 	return w.dq.PopTail()
 }
 
-func (w *Worker) execute(cl *Closure) {
-	if !cl.preempted && cl.execNS == 0 {
-		// First local slice of this attempt: only a run that started from
-		// scratch (no checkpoint blob) measures the Fn's full cost.
-		cl.freshLocal = cl.CkptSeq == 0 && len(cl.Ckpt) == 0
+// lookupFn returns the registry entry for fn, memoized with its
+// execution-time track.
+func (w *Worker) lookupFn(fn string) *fnEntry {
+	fe, ok := w.fnCache[fn]
+	if !ok {
+		fe = &fnEntry{fn: w.prog.Funcs.MustLookup(fn)}
+		w.fnCache[fn] = fe
 	}
+	return fe
+}
+
+func (w *Worker) execute(cl *Closure) {
+	fe := w.lookupFn(cl.Fn)
 	if cl.preempted {
-		// Resuming a locally preempted body: same attempt, already counted.
+		// Resuming a locally preempted body: same attempt, already counted
+		// and already decided timed or untimed.
 		cl.preempted = false
 	} else {
-		w.counters.TasksExecuted.Add(1)
-		if len(cl.Ckpt) > 0 {
+		// A fresh attempt. Tasks executed counts bodies started from
+		// scratch; a body resumed from a checkpoint (a drained, migrated,
+		// stolen-after-preemption, or redone task) counts as a resume, so
+		// a task that moves mid-body is still executed once.
+		cl.freshLocal = cl.CkptSeq == 0 && len(cl.Ckpt) == 0
+		if cl.freshLocal {
+			w.counters.TasksExecuted.Add(1)
+		} else {
 			w.counters.CkptResumes.Add(1)
 		}
+		// Timing is decided once per attempt: sampled for the speculation
+		// track and the TaskExec histogram, always for a traced task,
+		// whose exec spans need both ends.
+		cl.timed = (w.spans.Load() != nil && cl.TC.Sampled()) || fe.timeAttempt()
+		if cl.timed {
+			w.counters.TasksTimed.Add(1)
+		}
 	}
-	fn, ok := w.fnCache[cl.Fn]
-	if !ok {
-		fn = w.prog.Funcs.MustLookup(cl.Fn)
-		w.fnCache[cl.Fn] = fn
+	var execT0 time.Time
+	if cl.timed {
+		execT0 = time.Now()
 	}
-	m := w.cfg.Metrics // one pointer check when telemetry is off
-	traced := w.spans.Load() != nil && cl.TC.Sampled()
-	// Timed unconditionally: the per-Fn execution track feeds the
-	// speculation deadline and must be warm before trouble starts.
-	execT0 := time.Now()
 	completed := false
 	func() {
 		// A panicking task is an application bug; contain it to this
@@ -657,23 +676,26 @@ func (w *Worker) execute(cl *Closure) {
 		w.ctx.w = w
 		w.ctx.c = cl
 		w.ctx.yielded = false
-		fn(&w.ctx)
+		fe.fn(&w.ctx)
 		w.ctx.c = nil
 		completed = true
 	}()
-	if m != nil {
-		m.TaskExec().ObserveSince(execT0)
+	if cl.timed {
+		d := time.Since(execT0)
+		cl.execNS += int64(d)
+		if m := w.cfg.Metrics; m != nil {
+			m.TaskExec().Observe(int64(d))
+		}
+		if w.spans.Load() != nil && cl.TC.Sampled() {
+			// Each execution slice is its own span — a preempted body
+			// contributes several, and T1 sums them, so preemption does
+			// not inflate the critical path. Link is the continuation the
+			// result feeds: a join edge of the DAG.
+			w.spans.Load().add(wire.Span{Kind: wire.SpanExec, Flags: cl.TC.Flags, Worker: w.id,
+				Task: cl.ID, Parent: cl.TC.Parent, Link: cl.Cont.Task,
+				Start: execT0.UnixNano(), End: execT0.Add(d).UnixNano()})
+		}
 	}
-	if traced {
-		// Each execution slice is its own span — a preempted body
-		// contributes several, and T1 sums them, so preemption does not
-		// inflate the critical path. Link is the continuation the result
-		// feeds: a join edge of the DAG.
-		w.spans.Load().add(wire.Span{Kind: wire.SpanExec, Flags: cl.TC.Flags, Worker: w.id,
-			Task: cl.ID, Parent: cl.TC.Parent, Link: cl.Cont.Task,
-			Start: execT0.UnixNano(), End: time.Now().UnixNano()})
-	}
-	cl.execNS += int64(time.Since(execT0))
 	if completed && w.ctx.yielded {
 		// The body vacated at a Yield: the closure stays live with its
 		// checkpoint attached, at the head so a drain packs it first (and
@@ -689,19 +711,19 @@ func (w *Worker) execute(cl *Closure) {
 	w.ctx.yielded = false
 	w.counters.TaskRetired()
 	if completed {
-		if cl.freshLocal {
+		if cl.timed && cl.freshLocal {
 			// A started-from-scratch attempt is the clean sample of what
 			// this Fn costs; bodies resumed from a stolen or migrated
 			// checkpoint would contribute partial runs that drag the p99
 			// estimate down. Slices are summed across yields and local
 			// preemptions, so a body that checkpoints mid-run still feeds
 			// the track its full cost.
-			w.noteExec(cl.Fn, time.Duration(cl.execNS))
+			fe.exec.observe(time.Duration(cl.execNS))
 		}
 		if cl.CkptSeq > 0 {
 			w.dropCkptPub(cl.ID)
 		}
-		cl.free() // the body ran to completion; nothing references cl now
+		w.free(cl) // the body ran to completion; nothing references cl now
 	}
 }
 
@@ -852,7 +874,15 @@ func (w *Worker) drainAll() {
 		w.stash = w.stash[1:]
 		w.handle(env)
 	}
+	// Two one-case non-blocking receives rather than one two-case select:
+	// a receive from an empty channel returns without taking its lock,
+	// and this poll runs before every task.
 	for {
+		select {
+		case <-w.wakeCh:
+			return
+		default:
+		}
 		select {
 		case env, ok := <-w.conn.Recv():
 			if !ok {
@@ -860,8 +890,6 @@ func (w *Worker) drainAll() {
 				return
 			}
 			w.handle(env)
-		case <-w.wakeCh:
-			return
 		default:
 			return
 		}
@@ -1110,7 +1138,7 @@ func (w *Worker) handleStealReplyView(env *wire.Envelope, p wire.StealReplyView)
 		w.counters.FailedSteals.Add(1)
 		return
 	}
-	cl, err := closureFromView(p.Task())
+	cl, err := w.closureFromView(p.Task())
 	if err != nil {
 		// Corrupt closure body: drop the reply; the victim's unconfirmed
 		// steal record redoes the task when we are (wrongly) given up on,
@@ -1200,7 +1228,7 @@ func (w *Worker) spawn(fn string, cont types.Continuation, args []types.Value, n
 			panic(fmt.Sprintf("core: spawn %s: nil argument %d", fn, i))
 		}
 	}
-	cl := newClosure()
+	cl := w.newClosure()
 	cl.ID = w.nextTaskID()
 	cl.Fn = fn
 	cl.setArgs(args)
@@ -1246,8 +1274,8 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 		w.deliver(rec.realCont, v, crossed, tc)
 		return
 	}
-	if _, ok := w.waiting[cont.Task]; ok {
-		w.fillSlot(cont, v, crossed, true)
+	if cl, ok := w.waiting[cont.Task]; ok {
+		w.fillSlot(cl, cont.Slot, v, crossed, true)
 		return
 	}
 	host, ok := w.resolveHost(cont.Task.Worker)
@@ -1285,23 +1313,18 @@ func (w *Worker) deliver(cont types.Continuation, v types.Value, crossed bool, t
 	}
 }
 
-// fillSlot writes v into a waiting task's argument slot, maintains the
-// join counter, and enqueues the task when it becomes ready. countSynch
-// distinguishes real result deliveries (synchronizations, per the paper's
-// Table 2) from presets.
-func (w *Worker) fillSlot(cont types.Continuation, v types.Value, crossed, countSynch bool) {
-	cl, ok := w.waiting[cont.Task]
-	if !ok {
-		w.orphanDrops.Add(1)
-		return
-	}
-	if int(cont.Slot) >= len(cl.Args) || cl.Args[cont.Slot] != nil {
+// fillSlot writes v into argument slot of cl, a task the caller found in
+// the waiting table, maintains the join counter, and enqueues the task when
+// it becomes ready. countSynch distinguishes real result deliveries
+// (synchronizations, per the paper's Table 2) from presets.
+func (w *Worker) fillSlot(cl *Closure, slot int32, v types.Value, crossed, countSynch bool) {
+	if int(slot) >= len(cl.Args) || cl.Args[slot] != nil {
 		// Slot out of range (corrupt) or duplicate delivery (redo race):
 		// drop rather than corrupt the join counter.
 		w.orphanDrops.Add(1)
 		return
 	}
-	cl.Args[cont.Slot] = v
+	cl.Args[slot] = v
 	cl.Missing--
 	if countSynch {
 		w.counters.Synchronizations.Add(1)
@@ -1371,7 +1394,7 @@ func (w *Worker) grantSteal(thief types.WorkerID) {
 			Start: t0.UnixNano(), End: time.Now().UnixNano()})
 	}
 	w.counters.TaskRetired() // the task left this worker
-	cl.free()                // rec.task holds its own copy of the args
+	w.free(cl)               // rec.task holds its own copy of the args
 	w.dbgGrants.Add(1)
 	w.tr(trace.EvStealGrant, rec.task.ID, thief, "")
 }
@@ -1408,7 +1431,7 @@ func (w *Worker) putBackStealable(cl *Closure) {
 // stolen task's continuation targets the victim's steal record, which is
 // how we know where to confirm).
 func (w *Worker) adoptStolen(wc wire.Closure) {
-	w.adoptClosure(closureFromWire(wc))
+	w.adoptClosure(w.closureFromWire(wc))
 }
 
 // adoptClosure installs an already-converted stolen closure (from either
@@ -1448,7 +1471,7 @@ func (w *Worker) adoptMigration(from types.WorkerID, m wire.Migrate) {
 		return
 	}
 	for _, wc := range m.Closures {
-		cl := closureFromWire(wc)
+		cl := w.closureFromWire(wc)
 		w.ensureSpans(cl.TC)
 		w.counters.TaskAdopted()
 		if cl.ready() {
@@ -1487,7 +1510,7 @@ func (w *Worker) redoRecord(rec *stealRecord) {
 	}
 	rec.thief = w.id
 	rec.confirmed = true
-	cl := closureFromWire(rec.task)
+	cl := w.closureFromWire(rec.task)
 	w.counters.TaskAdopted()
 	w.counters.TasksRedone.Add(1)
 	if cl.ready() {
@@ -1568,7 +1591,7 @@ func (w *Worker) purgeOrphans() {
 		if deadCont(cl.Cont) {
 			delete(w.waiting, id)
 			w.counters.TaskRetired()
-			cl.free()
+			w.free(cl)
 		}
 	}
 	if w.dq.Len() > 0 {
@@ -1576,7 +1599,7 @@ func (w *Worker) purgeOrphans() {
 		for _, cl := range keep {
 			if deadCont(cl.Cont) {
 				w.counters.TaskRetired()
-				cl.free()
+				w.free(cl)
 				continue
 			}
 			w.dq.PushTail(cl)
@@ -1782,7 +1805,7 @@ func (w *Worker) shipStateTo(target types.WorkerID) shipResult {
 			// the task.
 			w.dropCkptPub(cl.ID)
 		}
-		cl.free() // the adopter acknowledged its own copy
+		w.free(cl) // the adopter acknowledged its own copy
 	}
 	return shipOK
 }

@@ -115,14 +115,12 @@ func TestFillSlotDeduplicatesAndBoundsChecks(t *testing.T) {
 		Missing: 2,
 	}
 	w.waiting[cl.ID] = cl
-	cont0 := types.Continuation{Task: cl.ID, Slot: 0}
-
-	w.fillSlot(cont0, int64(1), false, true)
+	w.fillSlot(cl, 0, int64(1), false, true)
 	if cl.Missing != 1 || cl.Args[0].(int64) != 1 {
 		t.Fatalf("first fill broken: %+v", cl)
 	}
 	// Duplicate delivery into the same slot is dropped, not double-counted.
-	w.fillSlot(cont0, int64(99), false, true)
+	w.fillSlot(cl, 0, int64(99), false, true)
 	if cl.Missing != 1 || cl.Args[0].(int64) != 1 {
 		t.Errorf("duplicate fill corrupted the closure: %+v", cl)
 	}
@@ -130,12 +128,12 @@ func TestFillSlotDeduplicatesAndBoundsChecks(t *testing.T) {
 		t.Errorf("duplicate fill not counted as a drop: %d", w.orphanDrops.Load())
 	}
 	// Out-of-range slot is dropped.
-	w.fillSlot(types.Continuation{Task: cl.ID, Slot: 9}, int64(1), false, true)
+	w.fillSlot(cl, 9, int64(1), false, true)
 	if cl.Missing != 1 {
 		t.Errorf("out-of-range fill corrupted the join counter")
 	}
 	// The last fill readies the closure onto the deque.
-	w.fillSlot(types.Continuation{Task: cl.ID, Slot: 1}, int64(2), true, true)
+	w.fillSlot(cl, 1, int64(2), true, true)
 	if _, still := w.waiting[cl.ID]; still {
 		t.Error("ready closure still in the waiting table")
 	}

@@ -18,7 +18,10 @@ import (
 type Counters struct {
 	// TasksSpawned counts closures created by this worker.
 	TasksSpawned atomic.Int64
-	// TasksExecuted counts closures whose function body this worker ran.
+	// TasksExecuted counts closures whose function body this worker
+	// started from scratch. A body resumed from a checkpoint counts in
+	// CkptResumes instead, so a task preempted and moved mid-body is
+	// executed once, whichever workers finish it.
 	TasksExecuted atomic.Int64
 	// TasksInUse is the current number of live closures on this worker:
 	// ready, waiting for arguments, or executing.
@@ -74,7 +77,7 @@ type Counters struct {
 	// CkptSaves counts checkpoint blobs accepted from yielding tasks.
 	CkptSaves atomic.Int64
 	// CkptResumes counts task executions that started from a checkpoint
-	// blob instead of from scratch.
+	// blob instead of from scratch (not counted in TasksExecuted).
 	CkptResumes atomic.Int64
 	// SpeculativeRedos counts steal-record tasks re-dispatched while their
 	// thief was merely suspect (not declared dead): the task was overdue
@@ -86,6 +89,10 @@ type Counters struct {
 	// that later proved alive (a heartbeat arrived after eviction) — the
 	// detector's false-positive count, maintained by the clearinghouse.
 	FalseEvictions atomic.Int64
+	// TasksTimed counts task executions whose body time was measured. Exec
+	// timing is sampled, so TasksTimed/TasksExecuted is the sampling rate
+	// behind the per-Fn speculation tracks and the task-exec histogram.
+	TasksTimed atomic.Int64
 }
 
 // TaskCreated records a new live closure and maintains the high-water mark.
@@ -141,6 +148,7 @@ type Snapshot struct {
 	CkptResumes      int64
 	SpeculativeRedos int64
 	FalseEvictions   int64
+	TasksTimed       int64
 	// Orphans counts results dropped because their consumer task no
 	// longer exists (expected after crash recovery, zero otherwise).
 	Orphans int64
@@ -180,6 +188,7 @@ func (c *Counters) Snapshot() Snapshot {
 		CkptResumes:      c.CkptResumes.Load(),
 		SpeculativeRedos: c.SpeculativeRedos.Load(),
 		FalseEvictions:   c.FalseEvictions.Load(),
+		TasksTimed:       c.TasksTimed.Load(),
 	}
 }
 
@@ -214,6 +223,7 @@ func JobTotals(workers []Snapshot) Snapshot {
 		t.CkptResumes += w.CkptResumes
 		t.SpeculativeRedos += w.SpeculativeRedos
 		t.FalseEvictions += w.FalseEvictions
+		t.TasksTimed += w.TasksTimed
 		t.Orphans += w.Orphans
 		if w.MaxTasksInUse > t.MaxTasksInUse {
 			t.MaxTasksInUse = w.MaxTasksInUse
@@ -277,6 +287,7 @@ var OrderedNames = []string{
 	"ckpt_resumes_total",
 	"speculative_redo_total",
 	"false_evictions_total",
+	"tasks_timed_total",
 }
 
 // Ordered flattens the snapshot into the positional form of OrderedNames.
@@ -308,6 +319,7 @@ func (s Snapshot) Ordered() []int64 {
 		s.CkptResumes,
 		s.SpeculativeRedos,
 		s.FalseEvictions,
+		s.TasksTimed,
 	}
 }
 
@@ -348,5 +360,6 @@ func FromOrdered(vals []int64) Snapshot {
 		CkptResumes:      at(23),
 		SpeculativeRedos: at(24),
 		FalseEvictions:   at(25),
+		TasksTimed:       at(26),
 	}
 }

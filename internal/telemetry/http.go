@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"phish/internal/trace"
@@ -12,8 +13,9 @@ import (
 
 // Server is the opt-in telemetry HTTP endpoint a daemon runs when started
 // with -metrics. It serves /metrics (Prometheus text), /metrics.json,
-// /healthz, and /debug/trace, plus any extra handlers the daemon mounts
-// (the clearinghouse adds /cluster.json for phishtop).
+// /healthz, /debug/trace, and the Go profiler under /debug/pprof/, plus
+// any extra handlers the daemon mounts (the clearinghouse adds
+// /cluster.json for phishtop).
 type Server struct {
 	ln  net.Listener
 	mux *http.ServeMux
@@ -33,6 +35,13 @@ func NewServer(addr string) (*Server, error) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
+	// CPU, heap, goroutine and block profiles of the live daemon:
+	// go tool pprof http://ADDR/debug/pprof/profile?seconds=10
+	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
+	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
 	go s.srv.Serve(ln) //nolint:errcheck // closes with ErrServerClosed on shutdown
 	return s, nil

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"net/http"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -250,5 +251,25 @@ func TestExportStateRoundTrip(t *testing.T) {
 	}
 	if got := merged[HistTaskExec].Count; got != 1 {
 		t.Fatalf("merged task-exec count = %d, want 1", got)
+	}
+}
+
+// TestServerMountsPprof checks every daemon's -metrics endpoint serves the
+// Go profiler alongside /healthz.
+func TestServerMountsPprof(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", NewRegistry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, path := range []string{"/healthz", "/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		resp, err := http.Get("http://" + s.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
 	}
 }
