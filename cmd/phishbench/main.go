@@ -151,7 +151,7 @@ func main() {
 			if err := harness.CheckWire(base, rs); err != nil {
 				log.Fatalf("phishbench: %v", err)
 			}
-			fmt.Printf("\nsteal sequence within alloc budget (%s)\n", *wireOut)
+			fmt.Printf("\nwire allocs within budget and the recorded baseline (%s)\n", *wireOut)
 		} else {
 			if err := harness.WriteWireBenchJSON(*wireOut, rs); err != nil {
 				log.Fatalf("phishbench: write %s: %v", *wireOut, err)

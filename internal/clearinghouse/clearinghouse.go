@@ -325,43 +325,26 @@ func (c *Clearinghouse) ingest(env *wire.Envelope) {
 // heartbeat or stat report; anything else (including the vanishingly rare
 // relayed report with From ≠ Worker) takes the ordinary handle path.
 func (c *Clearinghouse) foldHot(env *wire.Envelope) bool {
-	if v, ok := env.Payload.(*wire.View); ok {
+	switch p := env.Payload.(type) {
+	case *wire.View:
 		// Heartbeats — the dominant inbound message — fold straight off the
 		// zero-copy view. Everything else (StatReports need their bulk
-		// slices anyway, cold tags arrive as structs) materializes in place
-		// and takes the switch below unchanged.
-		if hb, ok := v.AsHeartbeat(); ok && hb.Worker() == env.From {
-			c.msgsRecv.Add(1)
-			c.noteBeatFrom(env.From)
-			c.hot.Beats = append(c.hot.Beats, env.From)
-			if ns := hb.SendNS(); ns != 0 {
-				c.spans.noteHeartbeat(env.From, ns, time.Now().UnixNano())
+		// slices anyway) materializes in place and takes the struct cases.
+		hb, ok := p.AsHeartbeat()
+		if !ok || hb.Worker() != env.From {
+			if err := env.Materialize(); err != nil {
+				env.Free() // corrupt frame: consume and drop
+				return true
 			}
-			env.Free()
-			if c.hot.Len() >= hotBatchMax {
-				c.flushHot()
-			}
-			return true
+			return c.foldHot(env)
 		}
-		if err := env.Materialize(); err != nil {
-			env.Free() // corrupt frame: consume and drop
-			return true
-		}
-	}
-	switch p := env.Payload.(type) {
+		c.foldBeat(env.From, hb.SendNS())
+		env.Free()
 	case wire.Heartbeat:
 		if p.Worker != env.From {
 			return false
 		}
-		c.msgsRecv.Add(1)
-		c.noteBeatFrom(p.Worker)
-		c.hot.Beats = append(c.hot.Beats, p.Worker)
-		if p.SendNS != 0 {
-			// Offset refinement uses wall clocks on both ends (span
-			// timestamps are wall-clock), so this deliberately bypasses
-			// the injectable c.clk.
-			c.spans.noteHeartbeat(p.Worker, p.SendNS, time.Now().UnixNano())
-		}
+		c.foldBeat(p.Worker, p.SendNS)
 	case wire.StatReport:
 		if p.Worker != env.From {
 			return false
@@ -377,6 +360,19 @@ func (c *Clearinghouse) foldHot(env *wire.Envelope) bool {
 		c.flushHot()
 	}
 	return true
+}
+
+// foldBeat adds worker's self-reported heartbeat to the pending batch.
+func (c *Clearinghouse) foldBeat(worker types.WorkerID, sendNS int64) {
+	c.msgsRecv.Add(1)
+	c.noteBeatFrom(worker)
+	c.hot.Beats = append(c.hot.Beats, worker)
+	if sendNS != 0 {
+		// Offset refinement uses wall clocks on both ends (span timestamps
+		// are wall-clock), so this deliberately bypasses the injectable
+		// c.clk.
+		c.spans.noteHeartbeat(worker, sendNS, time.Now().UnixNano())
+	}
 }
 
 func (c *Clearinghouse) flushHot() {

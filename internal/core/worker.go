@@ -958,46 +958,8 @@ func (w *Worker) handle(env *wire.Envelope) {
 	case wire.StealRequest:
 		w.grantSteal(p.Thief)
 	case wire.StealReply:
-		// Observe the round trip only for a still-pending request: a reply
-		// straggling in after the timeout fired no longer pairs with
-		// stealSentAt.
-		if w.stealPending && !w.stealSentAt.IsZero() {
-			if m := w.cfg.Metrics; m != nil {
-				m.StealRTT().ObserveSince(w.stealSentAt)
-			}
-			if w.spans.Load() != nil && !w.stealSpanID.Zero() {
-				sp := wire.Span{Kind: wire.SpanStealReq, Flags: wire.FlagSampled, Worker: w.id,
-					Task: w.stealSpanID, Peer: env.From,
-					Start: w.stealSentAt.UnixNano(), End: time.Now().UnixNano()}
-				if p.OK {
-					sp.Link = p.Task.ID // the task this attempt won
-				}
-				w.spans.Load().add(sp)
-				w.stealSpanID = types.TaskID{}
-			}
-		}
-		w.stealPending = false
-		w.stealVictim = types.NoWorker
-		if p.OK {
-			w.dbgRepliesOK.Add(1)
-		} else {
-			w.dbgRepliesFail.Add(1)
-		}
-		if p.OK {
-			w.localFailures = 0
-		} else if w.siteOf[env.From] == w.cfg.Site {
-			w.localFailures++
-		}
-		if w.forwardTo != types.NoWorker {
-			// We already migrated away. Leave the task unconfirmed: the
-			// victim's steal record redoes it when our tombstone lands.
-			return
-		}
-		if p.OK {
-			w.adoptStolen(p.Task)
-		} else {
-			w.consecFails++
-			w.counters.FailedSteals.Add(1)
+		if w.stealReplied(env.From, p.OK, p.Task.ID) {
+			w.adoptClosure(w.closureFromWire(p.Task))
 		}
 	case wire.StealConfirm:
 		if rec, ok := w.records[p.Record]; ok {
@@ -1079,7 +1041,15 @@ func (w *Worker) handleView(env *wire.Envelope, v *wire.View) bool {
 		return true
 	}
 	if rp, ok := v.AsStealReply(); ok {
-		w.handleStealReplyView(env, rp)
+		if w.stealReplied(env.From, rp.OK(), rp.Task().ID()) {
+			// Adopt straight off the frame. A corrupt closure body drops
+			// the reply: the victim's unconfirmed steal record redoes the
+			// task when we are (wrongly) given up on, exactly as if the
+			// reply had been lost in flight.
+			if cl, err := w.closureFromView(rp.Task()); err == nil {
+				w.adoptClosure(cl)
+			}
+		}
 		env.Free()
 		return true
 	}
@@ -1097,20 +1067,25 @@ func (w *Worker) handleView(env *wire.Envelope, v *wire.View) bool {
 	return false
 }
 
-// handleStealReplyView is the view twin of handle's StealReply case; the
-// stolen closure is adopted straight off the frame via closureFromView.
-func (w *Worker) handleStealReplyView(env *wire.Envelope, p wire.StealReplyView) {
-	ok := p.OK()
+// stealReplied settles the pending steal request that a reply from
+// victim answers — round-trip metric, steal span (linked to won, the
+// task a successful attempt won), failure streaks — and reports whether
+// the stolen task should be adopted: the steal succeeded and this worker
+// has not already migrated away.
+func (w *Worker) stealReplied(victim types.WorkerID, ok bool, won types.TaskID) (adopt bool) {
+	// Observe the round trip only for a still-pending request: a reply
+	// straggling in after the timeout fired no longer pairs with
+	// stealSentAt.
 	if w.stealPending && !w.stealSentAt.IsZero() {
 		if m := w.cfg.Metrics; m != nil {
 			m.StealRTT().ObserveSince(w.stealSentAt)
 		}
 		if w.spans.Load() != nil && !w.stealSpanID.Zero() {
 			sp := wire.Span{Kind: wire.SpanStealReq, Flags: wire.FlagSampled, Worker: w.id,
-				Task: w.stealSpanID, Peer: env.From,
+				Task: w.stealSpanID, Peer: victim,
 				Start: w.stealSentAt.UnixNano(), End: time.Now().UnixNano()}
 			if ok {
-				sp.Link = p.Task().ID()
+				sp.Link = won
 			}
 			w.spans.Load().add(sp)
 			w.stealSpanID = types.TaskID{}
@@ -1120,32 +1095,23 @@ func (w *Worker) handleStealReplyView(env *wire.Envelope, p wire.StealReplyView)
 	w.stealVictim = types.NoWorker
 	if ok {
 		w.dbgRepliesOK.Add(1)
+		w.localFailures = 0
 	} else {
 		w.dbgRepliesFail.Add(1)
-	}
-	if ok {
-		w.localFailures = 0
-	} else if w.siteOf[env.From] == w.cfg.Site {
-		w.localFailures++
+		if w.siteOf[victim] == w.cfg.Site {
+			w.localFailures++
+		}
 	}
 	if w.forwardTo != types.NoWorker {
 		// We already migrated away. Leave the task unconfirmed: the
 		// victim's steal record redoes it when our tombstone lands.
-		return
+		return false
 	}
 	if !ok {
 		w.consecFails++
 		w.counters.FailedSteals.Add(1)
-		return
 	}
-	cl, err := w.closureFromView(p.Task())
-	if err != nil {
-		// Corrupt closure body: drop the reply; the victim's unconfirmed
-		// steal record redoes the task when we are (wrongly) given up on,
-		// exactly as if the reply had been lost in flight.
-		return
-	}
-	w.adoptClosure(cl)
+	return ok
 }
 
 // applyView installs a fresh membership view: the host map for routing and
@@ -1427,15 +1393,9 @@ func (w *Worker) putBackStealable(cl *Closure) {
 	w.dq.PushTail(cl)
 }
 
-// adoptStolen installs a task won from a victim and confirms receipt (the
-// stolen task's continuation targets the victim's steal record, which is
-// how we know where to confirm).
-func (w *Worker) adoptStolen(wc wire.Closure) {
-	w.adoptClosure(w.closureFromWire(wc))
-}
-
-// adoptClosure installs an already-converted stolen closure (from either
-// the struct or the zero-copy ingest path).
+// adoptClosure installs a task won from a victim, already converted from
+// the reply, and confirms receipt (the stolen task's continuation targets
+// the victim's steal record, which is how we know where to confirm).
 func (w *Worker) adoptClosure(cl *Closure) {
 	w.dbgAdopts.Add(1)
 	w.ensureSpans(cl.TC)

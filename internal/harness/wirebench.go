@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -106,8 +107,8 @@ func runStealSequenceView(b *testing.B, seq []*wire.Envelope, scratch *[]types.V
 }
 
 // WireBench measures the wire codec and steal-path serialization costs:
-// the binary codec (production path, pooled and unpooled) next to the gob
-// reference codec it replaced.
+// encode and decode of the hot messages, and the four-message steal
+// sequence read in place as views and materialized into owned structs.
 func WireBench() []WireBenchResult {
 	arg, steal, seq := wireBenchArg(), wireBenchSteal(), stealSequence()
 	argFrame, _ := wire.Encode(arg)
@@ -161,8 +162,8 @@ func WireBench() []WireBenchResult {
 			}
 		}},
 		{"steal-sequence-materialize", func(b *testing.B) {
-			// The pre-view path (decode into owned structs), kept for the
-			// differential trajectory.
+			// Decode into owned structs (view plus Materialize), the path a
+			// consumer takes when the data must outlive the frame.
 			for i := 0; i < b.N; i++ {
 				for _, env := range seq {
 					f, err := wire.EncodeFrame(env)
@@ -175,26 +176,6 @@ func WireBench() []WireBenchResult {
 					}
 					decoded.Free()
 					f.Free()
-				}
-			}
-		}},
-		{"encode-arg-gob", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := wire.EncodeGob(arg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"steal-sequence-gob", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, env := range seq {
-					f, err := wire.EncodeGob(env)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := wire.DecodeGob(f); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		}},
@@ -220,38 +201,43 @@ func WireBench() []WireBenchResult {
 // zero-copy steal path stays single-digit or the gate fails.
 const StealSeqAllocBudget = 10
 
-// CheckWire gates CI on the steal path's allocation profile: the fresh
-// steal-sequence measurement must exist, stay under the hard single-digit
-// budget, and not regress past the recorded BENCH_wire.json baseline
+// CheckWire gates CI on the codec's allocation profile: the fresh
+// steal-sequence measurement must exist and stay under the hard
+// single-digit budget, and no row present in both the fresh run and the
+// recorded BENCH_wire.json baseline may allocate more than the baseline
 // (base nil skips the comparison — no baseline yet). ns/op is recorded
 // for the trajectory but not gated; shared CI machines make timing gates
 // flaky where alloc counts are exact.
 func CheckWire(base, fresh []WireBenchResult) error {
-	var got *WireBenchResult
+	recorded := make(map[string]int64, len(base))
+	for _, wb := range base {
+		recorded[wb.Name] = wb.AllocsPerOp
+	}
+	var seq *WireBenchResult
+	var errs []error
 	for i := range fresh {
-		if fresh[i].Name == "steal-sequence" {
-			got = &fresh[i]
+		r := &fresh[i]
+		if r.Name == "steal-sequence" {
+			seq = r
+		}
+		if want, ok := recorded[r.Name]; ok && r.AllocsPerOp > want {
+			errs = append(errs, fmt.Errorf("harness: %s allocs %d exceed the recorded %d baseline",
+				r.Name, r.AllocsPerOp, want))
 		}
 	}
-	if got == nil {
+	if seq == nil {
 		return fmt.Errorf("harness: wirebench produced no steal-sequence measurement")
 	}
-	if got.AllocsPerOp >= StealSeqAllocBudget {
-		return fmt.Errorf("harness: steal-sequence allocs %d, budget < %d — the zero-copy steal path regressed",
-			got.AllocsPerOp, StealSeqAllocBudget)
+	if seq.AllocsPerOp >= StealSeqAllocBudget {
+		errs = append(errs, fmt.Errorf("harness: steal-sequence allocs %d, budget < %d — the zero-copy steal path regressed",
+			seq.AllocsPerOp, StealSeqAllocBudget))
 	}
-	for _, wb := range base {
-		if wb.Name == "steal-sequence" && got.AllocsPerOp > wb.AllocsPerOp {
-			return fmt.Errorf("harness: steal-sequence allocs %d exceed the recorded %d baseline",
-				got.AllocsPerOp, wb.AllocsPerOp)
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // PrintWireBench renders the measurements as a table.
 func PrintWireBench(w io.Writer, rs []WireBenchResult) {
-	fmt.Fprintf(w, "wire codec — binary vs gob reference\n")
+	fmt.Fprintf(w, "wire codec — hot messages and the steal sequence\n")
 	fmt.Fprintf(w, "%-24s %14s %12s %12s\n", "benchmark", "ns/op", "B/op", "allocs/op")
 	for _, r := range rs {
 		fmt.Fprintf(w, "%-24s %14.1f %12d %12d\n", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)

@@ -38,23 +38,12 @@ const (
 	// CodecNone passes envelope pointers through untouched (default;
 	// fastest — the simulated NOW's shared-memory shortcut).
 	CodecNone Codec = iota
-	// CodecBinary runs every envelope through the binary wire codec
-	// (encode then decode), so in-process runs exercise exactly the bytes
-	// a real UDP deployment would — and benchmarks over the fabric measure
-	// serialization cost.
+	// CodecBinary encodes every envelope and decodes it the way the UDP
+	// transport does: hot messages arrive as zero-copy *wire.View payloads
+	// backed by a pooled arena, cold ones as owned structs. In-process runs
+	// then exercise exactly the bytes and ingest paths of a real
+	// deployment, and benchmarks over the fabric measure the codec.
 	CodecBinary
-	// CodecGob runs every envelope through the reference gob codec — the
-	// pre-optimization baseline, kept for comparison benchmarks.
-	CodecGob
-	// CodecView encodes every envelope and hands consumers zero-copy
-	// *wire.View payloads backed by a pooled arena — exactly what a real
-	// UDP deployment delivers for hot messages — so in-process tests and
-	// benchmarks exercise the read-in-place ingest paths end to end.
-	CodecView
-	// CodecV1 pins the legacy v1 positional encoder while decoding with
-	// the current decoder — the cross-version differential mode (an old
-	// sender talking to a new receiver).
-	CodecV1
 )
 
 // SetCodec selects in-flight envelope treatment. Call before traffic
@@ -145,70 +134,6 @@ func (f *Fabric) Close() {
 
 func (f *Fabric) deliver(env *wire.Envelope) error {
 	f.mu.Lock()
-	switch f.codec {
-	case CodecBinary:
-		f.mu.Unlock()
-		frame, err := wire.EncodeFrame(env)
-		if err != nil {
-			return err
-		}
-		env, err = wire.Decode(frame.Bytes())
-		frame.Free()
-		if err != nil {
-			return err
-		}
-		f.mu.Lock()
-	case CodecGob:
-		f.mu.Unlock()
-		frame, err := wire.EncodeGob(env)
-		if err != nil {
-			return err
-		}
-		env, err = wire.DecodeGob(frame)
-		if err != nil {
-			return err
-		}
-		f.mu.Lock()
-	case CodecView:
-		f.mu.Unlock()
-		frame, err := wire.EncodeFrame(env)
-		if err != nil {
-			return err
-		}
-		n := len(frame.Bytes())
-		if a := wire.NewArena(); n <= len(a.Bytes()) {
-			// Copy into an arena so the view outlives the pooled frame; the
-			// view holds its own arena reference, mirroring the UDP read
-			// loop's ownership hand-off.
-			copy(a.Bytes(), frame.Bytes())
-			frame.Free()
-			env, err = wire.DecodeView(a.Bytes()[:n], a)
-			a.Release()
-			if err != nil {
-				return err
-			}
-		} else {
-			// Oversized frame (cold-path bulk): no arena, decode owned.
-			a.Release()
-			env, err = wire.Decode(frame.Bytes())
-			frame.Free()
-			if err != nil {
-				return err
-			}
-		}
-		f.mu.Lock()
-	case CodecV1:
-		f.mu.Unlock()
-		buf, err := wire.AppendEncodeLegacy(nil, env)
-		if err != nil {
-			return err
-		}
-		env, err = wire.Decode(buf)
-		if err != nil {
-			return err
-		}
-		f.mu.Lock()
-	}
 	var verdict Verdict
 	if f.faults != nil {
 		verdict = f.faults.Judge(env.From, env.To)
@@ -217,9 +142,27 @@ func (f *Fabric) deliver(env *wire.Envelope) error {
 		f.mu.Unlock()
 		return ErrUnknownPeer
 	}
-	copies := 1
+	copies, n := [2]*wire.Envelope{env, env}, 1
 	if verdict.Duplicate {
-		copies = 2
+		n = 2
+	}
+	if f.codec == CodecBinary {
+		// Every copy gets its own decoded envelope: the consumer frees a
+		// view envelope when it is done, so two deliveries must never share
+		// one pooled envelope.
+		f.mu.Unlock()
+		frame, err := wire.EncodeFrame(env)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < n && err == nil; i++ {
+			copies[i], err = decodeFrame(frame.Bytes())
+		}
+		frame.Free()
+		if err != nil {
+			return err
+		}
+		f.mu.Lock()
 	}
 	lat := f.latency
 	if f.latencyFor != nil {
@@ -232,16 +175,17 @@ func (f *Fabric) deliver(env *wire.Envelope) error {
 		if !ok {
 			return ErrUnknownPeer
 		}
-		for i := 0; i < copies; i++ {
-			if !dst.mbox.put(env) {
+		for _, c := range copies[:n] {
+			if !dst.mbox.put(c) {
 				return ErrClosed
 			}
 		}
 		return nil
 	}
 	// Delayed path: enqueue on the time-ordered pump.
-	for i := 0; i < copies; i++ {
-		heap.Push(f.pumpQ, &delayedMsg{at: time.Now().Add(lat), env: env, seq: f.pumpQ.nextSeq()})
+	at := time.Now().Add(lat)
+	for _, c := range copies[:n] {
+		heap.Push(f.pumpQ, &delayedMsg{at: at, env: c, seq: f.pumpQ.nextSeq()})
 	}
 	if !f.pumpGo {
 		f.pumpGo = true
@@ -253,6 +197,20 @@ func (f *Fabric) deliver(env *wire.Envelope) error {
 	default:
 	}
 	return nil
+}
+
+// decodeFrame decodes one delivered copy of an encoded frame the way the
+// UDP read loop does: into an arena of its own, so hot payloads become
+// views that outlive the pooled frame. A frame too large for an arena
+// (cold bulk such as a big Migrate) decodes into owned structs.
+func decodeFrame(frame []byte) (*wire.Envelope, error) {
+	a := wire.NewArena()
+	defer a.Release() // the view holds its own reference
+	if len(frame) > len(a.Bytes()) {
+		return wire.Decode(frame)
+	}
+	n := copy(a.Bytes(), frame)
+	return wire.DecodeView(a.Bytes()[:n], a)
 }
 
 // pump delivers delayed messages in timestamp order.

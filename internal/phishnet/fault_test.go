@@ -118,6 +118,39 @@ func TestFabricFaultDuplicateDeliversTwice(t *testing.T) {
 	}
 }
 
+// TestFabricBinaryDuplicateIsIndependent: under CodecBinary each copy of
+// a duplicated message is its own decoded envelope, on the direct path and
+// the latency pump alike, so the handler that frees the first copy cannot
+// recycle the second out from under its reader.
+func TestFabricBinaryDuplicateIsIndependent(t *testing.T) {
+	for _, lat := range []time.Duration{0, time.Millisecond} {
+		f := NewFabric()
+		f.SetCodec(CodecBinary)
+		f.SetLatency(lat)
+		f.SetFaults(NewFaults(FaultPlan{Seed: 3, Duplicate: 1.0}))
+		a := f.Attach(1)
+		b := f.Attach(2)
+		if err := a.Send(&wire.Envelope{From: 1, To: 2, Seq: 5, Payload: wire.StealRequest{Thief: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		first := recvOne(t, b, time.Second)
+		second := recvOne(t, b, time.Second)
+		if first == second {
+			t.Fatalf("latency %v: both copies share one envelope", lat)
+		}
+		first.Free()
+		v, ok := second.Payload.(*wire.View)
+		if !ok {
+			t.Fatalf("latency %v: second copy payload = %T after the first was freed", lat, second.Payload)
+		}
+		if sr, ok := v.AsStealRequest(); !ok || sr.Thief() != 1 || second.From != 1 || second.Seq != 5 {
+			t.Errorf("latency %v: second copy damaged: %v", lat, second)
+		}
+		second.Free()
+		f.Close()
+	}
+}
+
 // TestUDPBackoffGiveUp blackholes a peer at the datagram level and checks
 // the reliability layer's full failure arc: retransmit intervals back off
 // (doubling, jittered ±25%), the frame is eventually abandoned, and the

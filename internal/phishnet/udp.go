@@ -590,16 +590,10 @@ func (u *UDP) readLoop() {
 }
 
 func (u *UDP) handleInbound(env *wire.Envelope, from *net.UDPAddr) {
-	ackSeq, isAck := uint64(0), false
-	switch p := env.Payload.(type) {
-	case wire.Ack:
-		ackSeq, isAck = p.Seq, true
-	case *wire.View:
-		if av, ok := p.AsAck(); ok {
-			ackSeq, isAck = av.Seq(), true
-		}
-	}
-	if isAck {
+	// Ack is a hot tag, so it always arrives as a view.
+	v, _ := env.Payload.(*wire.View)
+	if av, isAck := v.AsAck(); isAck {
+		ackSeq := av.Seq()
 		u.mu.Lock()
 		if p := u.pending[ackSeq]; p != nil {
 			// Karn's rule: only a never-retransmitted frame yields an RTT

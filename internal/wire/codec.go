@@ -9,7 +9,7 @@
 // Frame layout (all integers big-endian):
 //
 //	offset 0  u32  body length (bytes after this prefix)
-//	offset 4  u8   frame format version (frameVersion)
+//	offset 4  u8   frame format version (1 or 2, fixed by the tag)
 //	offset 5  u8   payload type tag (t* constants)
 //	offset 6  i64  Envelope.Job
 //	offset 14 i32  Envelope.From
@@ -17,11 +17,15 @@
 //	offset 22 u64  Envelope.Seq
 //	offset 30 ...  payload body (shape fixed by the type tag)
 //
-// The version byte exists for forward compatibility: a future frame layout
-// bumps it, and decoders reject versions they do not know instead of
-// misparsing. Several frames may be concatenated back to back — the UDP
-// transport batches envelopes to one destination into one datagram this
-// way — and each is self-delimiting via its length prefix.
+// Every tag has exactly one body format and one decoder. The hot
+// scheduler tags (v2Tag) carry the field-keyed v2 body of view.go and are
+// decoded as in-place views; the cold control-plane tags carry the
+// positional v1 body below and are decoded by readPayload. The version
+// byte names the format, and a frame whose version does not match its
+// tag's format is rejected instead of misparsed. Several frames may be
+// concatenated back to back — the UDP transport batches envelopes to one
+// destination into one datagram this way — and each is self-delimiting
+// via its length prefix.
 //
 // Decoding is hardened against truncated and corrupt input: every read is
 // bounds-checked, slice counts are validated against the bytes actually
@@ -37,12 +41,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"phish/internal/types"
 )
 
-// frameVersion is the wire format version stamped into every frame.
+// frameVersion marks a frame whose body is the positional v1 layout of a
+// cold tag (frameVersionV2, in view.go, marks the hot tags' layout).
 const frameVersion = 1
 
 // frameHeaderLen is the encoded size of the length prefix plus envelope
@@ -238,22 +244,11 @@ func Encode(env *Envelope) ([]byte, error) {
 // payloads are emitted in the v2 field-keyed layout (view.go); everything
 // else keeps the v1 positional body.
 func AppendEncode(dst []byte, env *Envelope) ([]byte, error) {
-	return appendEncode(dst, env, true)
-}
-
-// AppendEncodeLegacy is AppendEncode pinned to v1 bodies for every tag —
-// the old codec, kept reachable so the fabric's differential codec modes
-// and cross-version tests can exercise a v2 decoder against v1 frames.
-func AppendEncodeLegacy(dst []byte, env *Envelope) ([]byte, error) {
-	return appendEncode(dst, env, false)
-}
-
-func appendEncode(dst []byte, env *Envelope, allowV2 bool) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
 	tag := payloadTag(env.Payload)
 	ver := byte(frameVersion)
-	if allowV2 && v2Tag(tag) {
+	if v2Tag(tag) {
 		ver = frameVersionV2
 	}
 	dst = append(dst, ver, tag)
@@ -278,52 +273,27 @@ func appendEncode(dst []byte, env *Envelope, allowV2 bool) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses one frame produced by Encode/AppendEncode. It never
-// panics: corrupt or truncated frames return an error.
+// Decode parses one frame produced by Encode/AppendEncode into an envelope
+// that owns its payload: DecodeView followed by Materialize, so the header
+// and framing are checked in one place. It never panics: corrupt or
+// truncated frames return an error.
 func Decode(frame []byte) (env *Envelope, err error) {
-	// Belt and braces: the reader bounds-checks everything, but a decoding
-	// bug must still surface as an error, not kill the process.
+	// Belt and braces: the accessors bounds-check everything, but a
+	// decoding bug must still surface as an error, not kill the process.
 	defer func() {
 		if r := recover(); r != nil {
 			env, err = nil, fmt.Errorf("wire: decode panic: %v", r)
 		}
 	}()
-	if len(frame) < frameHeaderLen {
-		return nil, fmt.Errorf("wire: short frame (%d bytes)", len(frame))
+	if env, err = DecodeView(frame, nil); err != nil {
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(frame[:4])
-	if int64(n) != int64(len(frame)-4) {
-		return nil, fmt.Errorf("wire: frame length mismatch: header %d, body %d", n, len(frame)-4)
+	if err := env.Materialize(); err != nil {
+		name := env.PayloadName()
+		env.Free()
+		return nil, fmt.Errorf("wire: decode %s: %w", name, err)
 	}
-	if frame[4] != frameVersion && frame[4] != frameVersionV2 {
-		return nil, fmt.Errorf("%w %d", errFrameVersion, frame[4])
-	}
-	tag := frame[5]
-	e := envelopePool.Get().(*Envelope)
-	e.Job = types.JobID(int64(binary.BigEndian.Uint64(frame[6:14])))
-	e.From = types.WorkerID(int32(binary.BigEndian.Uint32(frame[14:18])))
-	e.To = types.WorkerID(int32(binary.BigEndian.Uint32(frame[18:22])))
-	e.Seq = binary.BigEndian.Uint64(frame[22:30])
-	if frame[4] == frameVersionV2 {
-		p, err := materializeV2(tag, frame[frameHeaderLen:])
-		if err != nil {
-			e.Free()
-			return nil, fmt.Errorf("wire: decode %s: %w", tagName(tag), err)
-		}
-		e.Payload = p
-		return e, nil
-	}
-	r := reader{b: frame[frameHeaderLen:]}
-	e.Payload = readPayload(&r, tag)
-	if r.err != nil {
-		e.Free()
-		return nil, fmt.Errorf("wire: decode %s: %w", tagName(tag), r.err)
-	}
-	if r.off != len(r.b) {
-		e.Free()
-		return nil, fmt.Errorf("wire: decode %s: %d trailing bytes", tagName(tag), len(r.b)-r.off)
-	}
-	return e, nil
+	return env, nil
 }
 
 // ---- Stream framing -------------------------------------------------------
@@ -397,41 +367,6 @@ func (fr *FrameReader) Next() (*Envelope, error) {
 		return nil, err
 	}
 	return Decode(frame)
-}
-
-// ---- Reference gob codec --------------------------------------------------
-
-// EncodeGob serializes env as a length-prefixed gob frame — the original
-// reflection-based codec, kept as a correctness reference and benchmark
-// baseline (BenchmarkStealRoundTrip/gob) for the binary codec above.
-func EncodeGob(env *Envelope) ([]byte, error) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(env); err != nil {
-		return nil, fmt.Errorf("wire: gob encode %T: %w", env.Payload, err)
-	}
-	if body.Len() > maxFrame {
-		return nil, fmt.Errorf("wire: frame too large (%d bytes)", body.Len())
-	}
-	out := make([]byte, 4+body.Len())
-	binary.BigEndian.PutUint32(out[:4], uint32(body.Len()))
-	copy(out[4:], body.Bytes())
-	return out, nil
-}
-
-// DecodeGob parses one frame produced by EncodeGob.
-func DecodeGob(frame []byte) (*Envelope, error) {
-	if len(frame) < 4 {
-		return nil, fmt.Errorf("wire: short frame (%d bytes)", len(frame))
-	}
-	n := binary.BigEndian.Uint32(frame[:4])
-	if int(n) != len(frame)-4 {
-		return nil, fmt.Errorf("wire: frame length mismatch: header %d, body %d", n, len(frame)-4)
-	}
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(frame[4:])).Decode(&env); err != nil {
-		return nil, fmt.Errorf("wire: gob decode: %w", err)
-	}
-	return &env, nil
 }
 
 // ---- Append-style writers -------------------------------------------------
@@ -570,21 +505,6 @@ func appendTC(b []byte, tc TraceCtx) []byte {
 // recording worker + three task ids + peer + start + end.
 const spanWireLen = 1 + 1 + 4 + 3*12 + 4 + 8 + 8
 
-func appendSpans(b []byte, ss []Span) []byte {
-	b = appendLen(b, len(ss), ss == nil)
-	for _, s := range ss {
-		b = append(b, s.Kind, s.Flags)
-		b = appendI32(b, int32(s.Worker))
-		b = appendTaskID(b, s.Task)
-		b = appendTaskID(b, s.Parent)
-		b = appendTaskID(b, s.Link)
-		b = appendI32(b, int32(s.Peer))
-		b = appendI64(b, s.Start)
-		b = appendI64(b, s.End)
-	}
-	return b
-}
-
 // appendBlob writes a presence-flagged byte slice (nil and empty are
 // distinct, like appendLen elsewhere).
 func appendBlob(b, data []byte) []byte {
@@ -647,11 +567,18 @@ func appendI64s(b []byte, vs []int64) []byte {
 	return b
 }
 
+// appendCounts writes a per-worker count map in ascending worker order, so
+// a frame's bytes are a function of its message, not of map iteration.
 func appendCounts(b []byte, m map[types.WorkerID]int64) []byte {
 	b = appendLen(b, len(m), m == nil)
-	for k, v := range m {
+	keys := make([]types.WorkerID, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
 		b = appendI32(b, int32(k))
-		b = appendI64(b, v)
+		b = appendI64(b, m[k])
 	}
 	return b
 }
@@ -769,21 +696,10 @@ func tagName(t byte) string {
 	return fmt.Sprintf("tag(%d)", t)
 }
 
+// appendPayload writes the v1 positional body of a cold payload; the hot
+// tags have only their v2 body (appendPayloadV2).
 func appendPayload(b []byte, p any) ([]byte, error) {
 	switch x := p.(type) {
-	case StealRequest:
-		return appendI32(b, int32(x.Thief)), nil
-	case StealReply:
-		return appendClosure(appendBool(b, x.OK), x.Task)
-	case StealConfirm:
-		return appendTaskID(b, x.Record), nil
-	case Arg:
-		b = appendCont(b, x.Cont)
-		b, err := appendValue(b, x.Val)
-		if err != nil {
-			return nil, err
-		}
-		return appendTC(appendBool(b, x.Crossed), x.TC), nil
 	case Migrate:
 		b = appendI32(b, int32(x.From))
 		b = appendLen(b, len(x.Closures), x.Closures == nil)
@@ -817,8 +733,6 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 		return appendI32(b, int32(x.MigratedTo)), nil
 	case Update:
 		return appendView(b, x.View), nil
-	case Heartbeat:
-		return appendI64(appendI32(b, int32(x.Worker)), x.SendNS), nil
 	case WorkerDown:
 		b = appendI32(b, int32(x.Worker))
 		b = appendTaskCkpts(b, x.Ckpts)
@@ -882,26 +796,8 @@ func appendPayload(b []byte, p any) ([]byte, error) {
 			}
 		}
 		return b, nil
-	case Ack:
-		return appendU64(b, x.Seq), nil
 	case PeerGone:
 		return appendI32(b, int32(x.Worker)), nil
-	case StatReport:
-		b = appendI32(b, x.Ver)
-		b = appendI32(b, int32(x.Worker))
-		b = appendI32(b, x.Deque)
-		b = appendI64s(b, x.Counters)
-		b = appendLen(b, len(x.Hists), x.Hists == nil)
-		for _, h := range x.Hists {
-			b = appendI32(b, h.Kind)
-			b = appendI64(b, h.Count)
-			b = appendI64(b, h.Sum)
-			b = appendI64s(b, h.Counts)
-		}
-		b = appendTaskCkpts(b, x.Ckpts)
-		b = appendU64(b, x.SpanSeq)
-		b = appendI64(b, x.ClockOffNS)
-		return appendSpans(b, x.Spans), nil
 	case DrainRequest:
 		return appendI32(b, int32(x.Worker)), nil
 	case DrainAck:
@@ -1167,28 +1063,6 @@ func (r *reader) tc() TraceCtx {
 	return TraceCtx{Parent: r.taskID(), Flags: r.u8()}
 }
 
-func (r *reader) spans() []Span {
-	n := r.count(spanWireLen)
-	if n < 0 {
-		return nil
-	}
-	out := make([]Span, n)
-	for i := range out {
-		out[i] = Span{
-			Kind:   r.u8(),
-			Flags:  r.u8(),
-			Worker: r.worker(),
-			Task:   r.taskID(),
-			Parent: r.taskID(),
-			Link:   r.taskID(),
-			Peer:   r.worker(),
-			Start:  r.i64(),
-			End:    r.i64(),
-		}
-	}
-	return out
-}
-
 // blob reads a presence-flagged byte slice written by appendBlob, copying
 // out of the frame buffer so the result survives envelope reuse.
 func (r *reader) blob() []byte {
@@ -1296,16 +1170,10 @@ func (r *reader) counts() map[types.WorkerID]int64 {
 	return out
 }
 
+// readPayload decodes the v1 positional body of a cold tag; the hot tags
+// have only their v2 body and are read through View.
 func readPayload(r *reader, tag byte) any {
 	switch tag {
-	case tStealRequest:
-		return StealRequest{Thief: r.worker()}
-	case tStealReply:
-		return StealReply{OK: r.bool(), Task: r.closure()}
-	case tStealConfirm:
-		return StealConfirm{Record: r.taskID()}
-	case tArg:
-		return Arg{Cont: r.cont(), Val: r.value(0), Crossed: r.bool(), TC: r.tc()}
 	case tMigrate:
 		return Migrate{From: r.worker(), Closures: r.closures(), Records: r.records()}
 	case tMigrateAck:
@@ -1318,8 +1186,6 @@ func readPayload(r *reader, tag byte) any {
 		return Unregister{Worker: r.worker(), Reason: LeaveReason(r.i32()), MigratedTo: r.worker()}
 	case tUpdate:
 		return Update{View: r.view()}
-	case tHeartbeat:
-		return Heartbeat{Worker: r.worker(), SendNS: r.i64()}
 	case tWorkerDown:
 		return WorkerDown{Worker: r.worker(), Ckpts: r.taskCkpts(), TC: r.tc()}
 	case tIO:
@@ -1364,26 +1230,8 @@ func readPayload(r *reader, tag byte) any {
 			jobs[i] = r.jobSpec()
 		}
 		return JobListReply{Jobs: jobs}
-	case tAck:
-		return Ack{Seq: r.u64()}
 	case tPeerGone:
 		return PeerGone{Worker: r.worker()}
-	case tStatReport:
-		p := StatReport{Ver: r.i32(), Worker: r.worker(), Deque: r.i32()}
-		p.Counters = r.i64s()
-		// A histogram state is at least kind+count+sum+len = 25 bytes.
-		n := r.count(25)
-		if n >= 0 {
-			p.Hists = make([]HistState, n)
-			for i := range p.Hists {
-				p.Hists[i] = HistState{Kind: r.i32(), Count: r.i64(), Sum: r.i64(), Counts: r.i64s()}
-			}
-		}
-		p.Ckpts = r.taskCkpts()
-		p.SpanSeq = r.u64()
-		p.ClockOffNS = r.i64()
-		p.Spans = r.spans()
-		return p
 	case tDrainRequest:
 		return DrainRequest{Worker: r.worker()}
 	case tDrainAck:

@@ -26,7 +26,10 @@
 // "fields absent").
 //
 // Cold control-plane tags (Register, Migrate, job queue RPCs, ...) keep
-// their v1 positional bodies; Decode accepts both versions.
+// their v1 positional bodies (codec.go). Each tag has exactly one format:
+// DecodeView rejects a hot tag in a v1 frame and a cold tag in a v2 one.
+// The accessors are the only v2 decoder — View.Materialize, and through
+// it Decode, builds the owned struct by calling them.
 //
 // Arena + View manage buffer lifetime on the receive path: a UDP datagram
 // is read into a pooled, reference-counted Arena, every frame in it
@@ -39,6 +42,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -359,38 +363,16 @@ func appendPayloadV2(b []byte, p any) ([]byte, error) {
 
 // ---- v2 walker ------------------------------------------------------------
 
-// v2walker iterates a field-keyed body with bounds checks and a sticky
-// error, mirroring the reader in codec.go.
-type v2walker struct {
-	b    []byte
-	off  int
-	left int
-	err  error
-}
-
-func newV2Walker(b []byte) v2walker {
+// v2next splits the next field off b: its key, its value and the rest of
+// the body. ok=false means b is too short for the field it starts; the
+// wiretype alone sizes every field, so unknown ids are skipped the same way.
+func v2next(b []byte) (key byte, val, rest []byte, ok bool) {
 	if len(b) == 0 {
-		return v2walker{err: errShortFrame}
+		return 0, nil, nil, false
 	}
-	return v2walker{b: b, off: 1, left: int(b[0])}
-}
-
-// next returns the next field. ok=false means the walk is over — the
-// caller checks finish (or w.err) to distinguish completion from damage.
-func (w *v2walker) next() (id, wt byte, val []byte, ok bool) {
-	if w.err != nil || w.left == 0 {
-		return 0, 0, nil, false
-	}
-	w.left--
-	if w.off >= len(w.b) {
-		w.err = errShortFrame
-		return 0, 0, nil, false
-	}
-	key := w.b[w.off]
-	w.off++
-	id, wt = key>>2, key&3
+	key, b = b[0], b[1:]
 	n := 0
-	switch wt {
+	switch key & 3 {
 	case wt1:
 		n = 1
 	case wt4:
@@ -398,48 +380,38 @@ func (w *v2walker) next() (id, wt byte, val []byte, ok bool) {
 	case wt8:
 		n = 8
 	case wtLen:
-		if len(w.b)-w.off < 4 {
-			w.err = errShortFrame
-			return 0, 0, nil, false
+		if len(b) < 4 {
+			return 0, nil, nil, false
 		}
-		n = int(binary.BigEndian.Uint32(w.b[w.off:]))
-		w.off += 4
+		n = int(binary.BigEndian.Uint32(b))
+		b = b[4:]
 	}
-	if n < 0 || len(w.b)-w.off < n {
-		w.err = errShortFrame
-		return 0, 0, nil, false
+	if n < 0 || len(b) < n {
+		return 0, nil, nil, false
 	}
-	val = w.b[w.off : w.off+n]
-	w.off += n
-	return id, wt, val, true
-}
-
-// finish reports whether the walk consumed the body exactly: the declared
-// number of fields, no trailing bytes.
-func (w *v2walker) finish() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.left != 0 || w.off != len(w.b) {
-		return errShortFrame
-	}
-	return nil
+	return key, b[:n], b[n:], true
 }
 
 // validateV2 walks every field of a body once so views handed to
-// consumers are known to be well-framed (nested content is still
-// re-checked lazily by accessors).
-func validateV2(tag byte, body []byte) error {
-	if !v2Tag(tag) {
-		return fmt.Errorf("wire: no v2 shape for %s", tagName(tag))
+// consumers are known to be well-framed: exactly the declared number of
+// fields, no trailing bytes (nested content is still re-checked lazily by
+// accessors).
+func validateV2(body []byte) error {
+	if len(body) == 0 {
+		return errShortFrame
 	}
-	w := newV2Walker(body)
-	for {
-		if _, _, _, ok := w.next(); !ok {
-			break
+	b := body[1:]
+	for left := body[0]; left > 0; left-- {
+		_, _, rest, ok := v2next(b)
+		if !ok {
+			return errShortFrame
 		}
+		b = rest
 	}
-	return w.finish()
+	if len(b) != 0 {
+		return errShortFrame
+	}
+	return nil
 }
 
 // v2field scans body for the first field with the given id and wiretype.
@@ -447,16 +419,21 @@ func validateV2(tag byte, body []byte) error {
 // unknown, the same forward-compatibility rule as skipping: both halves of
 // the key are the field's identity.
 func v2field(body []byte, id, wt byte) ([]byte, bool) {
-	w := newV2Walker(body)
-	for {
-		fid, fwt, val, ok := w.next()
+	if len(body) == 0 {
+		return nil, false
+	}
+	want, b := id<<2|wt, body[1:]
+	for left := body[0]; left > 0; left-- {
+		key, val, rest, ok := v2next(b)
 		if !ok {
 			return nil, false
 		}
-		if fid == id && fwt == wt {
+		if key == want {
 			return val, true
 		}
+		b = rest
 	}
+	return nil, false
 }
 
 func v2u32(body []byte, id byte) uint32 {
@@ -519,24 +496,25 @@ func v2tc(body []byte, id byte) TraceCtx {
 	}
 }
 
-// ---- v2 materialization ---------------------------------------------------
+// ---- Counted field content ------------------------------------------------
 
-// Counted inner decoders: a wtLen field's content is an explicit u32
-// element count plus elements, checked exactly (an extension never grows
-// an existing field — it adds a new field id).
-
-func readValuesCounted(b []byte) ([]types.Value, error) {
+// readCounted decodes a wtLen field's content: an explicit u32 element
+// count, then that many elements of at least minElem bytes each, read by
+// elem. The content must be consumed exactly (an extension never grows an
+// existing field — it adds a new field id), and the count is checked
+// against the bytes present before anything is allocated.
+func readCounted[T any](b []byte, minElem int, elem func(*reader) T) ([]T, error) {
 	r := reader{b: b}
 	n := int(r.u32())
-	if r.err == nil && n > r.rem() { // a value is at least one tag byte
+	if r.err == nil && n > r.rem()/minElem {
 		r.fail()
 	}
 	if r.err != nil {
 		return nil, r.err
 	}
-	out := make([]types.Value, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = r.value(0)
+		out[i] = elem(&r)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -547,310 +525,26 @@ func readValuesCounted(b []byte) ([]types.Value, error) {
 	return out, nil
 }
 
-func readI64sCounted(b []byte) ([]int64, error) {
-	r := reader{b: b}
-	n := int(r.u32())
-	if r.err == nil && n > r.rem()/8 {
-		r.fail()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.i64()
-	}
-	if r.off != len(r.b) || r.err != nil {
-		return nil, errShortFrame
-	}
-	return out, nil
+func (r *reader) hist() HistState {
+	return HistState{Kind: r.i32(), Count: r.i64(), Sum: r.i64(), Counts: r.i64s()}
 }
 
-func readHistsCounted(b []byte) ([]HistState, error) {
-	r := reader{b: b}
-	n := int(r.u32())
-	if r.err == nil && n > r.rem()/21 { // kind + count + sum + nil-flag
-		r.fail()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]HistState, n)
-	for i := range out {
-		out[i] = HistState{Kind: r.i32(), Count: r.i64(), Sum: r.i64(), Counts: r.i64s()}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, errShortFrame
-	}
-	return out, nil
+func (r *reader) taskCkpt() TaskCkpt {
+	return TaskCkpt{Task: r.taskID(), Seq: r.u64(), Data: r.blob()}
 }
 
-func readCkptsCounted(b []byte) ([]TaskCkpt, error) {
-	r := reader{b: b}
-	n := int(r.u32())
-	if r.err == nil && n > r.rem()/21 { // taskID + seq + blob flag
-		r.fail()
+func (r *reader) span() Span {
+	return Span{
+		Kind:   r.u8(),
+		Flags:  r.u8(),
+		Worker: r.worker(),
+		Task:   r.taskID(),
+		Parent: r.taskID(),
+		Link:   r.taskID(),
+		Peer:   r.worker(),
+		Start:  r.i64(),
+		End:    r.i64(),
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]TaskCkpt, n)
-	for i := range out {
-		out[i] = TaskCkpt{Task: r.taskID(), Seq: r.u64(), Data: r.blob()}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, errShortFrame
-	}
-	return out, nil
-}
-
-func readSpansCounted(b []byte) ([]Span, error) {
-	r := reader{b: b}
-	n := int(r.u32())
-	if r.err == nil && n > r.rem()/spanWireLen {
-		r.fail()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]Span, n)
-	for i := range out {
-		out[i] = Span{
-			Kind:   r.u8(),
-			Flags:  r.u8(),
-			Worker: r.worker(),
-			Task:   r.taskID(),
-			Parent: r.taskID(),
-			Link:   r.taskID(),
-			Peer:   r.worker(),
-			Start:  r.i64(),
-			End:    r.i64(),
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(r.b) {
-		return nil, errShortFrame
-	}
-	return out, nil
-}
-
-func materializeClosureV2(body []byte) (Closure, error) {
-	var c Closure
-	w := newV2Walker(body)
-	for {
-		id, wt, val, ok := w.next()
-		if !ok {
-			break
-		}
-		var err error
-		switch {
-		case id == fClID && wt == wtLen && len(val) == 12:
-			c.ID = types.TaskID{
-				Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-				Seq:    binary.BigEndian.Uint64(val[4:]),
-			}
-		case id == fClFn && wt == wtLen:
-			c.Fn = internName(val)
-		case id == fClArgs && wt == wtLen:
-			if c.Args, err = readValuesCounted(val); err != nil {
-				return c, err
-			}
-		case id == fClMissing && wt == wt4:
-			c.Missing = int32(binary.BigEndian.Uint32(val))
-		case id == fClCont && wt == wtLen && len(val) == 16:
-			c.Cont = types.Continuation{
-				Task: types.TaskID{
-					Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-					Seq:    binary.BigEndian.Uint64(val[4:]),
-				},
-				Slot: int32(binary.BigEndian.Uint32(val[12:])),
-			}
-		case id == fClNoSteal && wt == wt1:
-			c.NoSteal = val[0] != 0
-		case id == fClCkpt && wt == wtLen:
-			c.Ckpt = make([]byte, len(val))
-			copy(c.Ckpt, val)
-		case id == fClCkptSeq && wt == wt8:
-			c.CkptSeq = binary.BigEndian.Uint64(val)
-		case id == fClTC && wt == wtLen && len(val) == 13:
-			c.TC = TraceCtx{
-				Parent: types.TaskID{
-					Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-					Seq:    binary.BigEndian.Uint64(val[4:]),
-				},
-				Flags: val[12],
-			}
-		}
-	}
-	return c, w.finish()
-}
-
-// materializeV2 decodes a v2 body into the owned struct the v1 decoder
-// would have produced: strings, blobs, and slices are copied out of the
-// frame, so the result survives arena reuse.
-func materializeV2(tag byte, body []byte) (any, error) {
-	w := newV2Walker(body)
-	var p any
-	var err error
-	switch tag {
-	case tStealRequest:
-		var m StealRequest
-		for {
-			id, wt, val, ok := w.next()
-			if !ok {
-				break
-			}
-			if id == fSRqThief && wt == wt4 {
-				m.Thief = types.WorkerID(int32(binary.BigEndian.Uint32(val)))
-			}
-		}
-		p = m
-	case tStealReply:
-		var m StealReply
-		for {
-			id, wt, val, ok := w.next()
-			if !ok {
-				break
-			}
-			switch {
-			case id == fSRpOK && wt == wt1:
-				m.OK = val[0] != 0
-			case id == fSRpTask && wt == wtLen:
-				if m.Task, err = materializeClosureV2(val); err != nil {
-					return nil, err
-				}
-			}
-		}
-		p = m
-	case tStealConfirm:
-		var m StealConfirm
-		for {
-			id, wt, val, ok := w.next()
-			if !ok {
-				break
-			}
-			if id == fSCRecord && wt == wtLen && len(val) == 12 {
-				m.Record = types.TaskID{
-					Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-					Seq:    binary.BigEndian.Uint64(val[4:]),
-				}
-			}
-		}
-		p = m
-	case tArg:
-		var m Arg
-		for {
-			id, wt, val, ok := w.next()
-			if !ok {
-				break
-			}
-			switch {
-			case id == fArgCont && wt == wtLen && len(val) == 16:
-				m.Cont = types.Continuation{
-					Task: types.TaskID{
-						Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-						Seq:    binary.BigEndian.Uint64(val[4:]),
-					},
-					Slot: int32(binary.BigEndian.Uint32(val[12:])),
-				}
-			case id == fArgVal && wt == wtLen:
-				r := reader{b: val}
-				m.Val = r.value(0)
-				if r.err != nil {
-					return nil, r.err
-				}
-				if r.off != len(r.b) {
-					return nil, errShortFrame
-				}
-			case id == fArgCrossed && wt == wt1:
-				m.Crossed = val[0] != 0
-			case id == fArgTC && wt == wtLen && len(val) == 13:
-				m.TC = TraceCtx{
-					Parent: types.TaskID{
-						Worker: types.WorkerID(int32(binary.BigEndian.Uint32(val))),
-						Seq:    binary.BigEndian.Uint64(val[4:]),
-					},
-					Flags: val[12],
-				}
-			}
-		}
-		p = m
-	case tHeartbeat:
-		var m Heartbeat
-		for {
-			id, wt, val, ok := w.next()
-			if !ok {
-				break
-			}
-			switch {
-			case id == fHBWorker && wt == wt4:
-				m.Worker = types.WorkerID(int32(binary.BigEndian.Uint32(val)))
-			case id == fHBSendNS && wt == wt8:
-				m.SendNS = int64(binary.BigEndian.Uint64(val))
-			}
-		}
-		p = m
-	case tAck:
-		var m Ack
-		for {
-			id, wt, val, ok := w.next()
-			if !ok {
-				break
-			}
-			if id == fAckSeq && wt == wt8 {
-				m.Seq = binary.BigEndian.Uint64(val)
-			}
-		}
-		p = m
-	case tStatReport:
-		var m StatReport
-		for {
-			id, wt, val, ok := w.next()
-			if !ok {
-				break
-			}
-			switch {
-			case id == fStVer && wt == wt4:
-				m.Ver = int32(binary.BigEndian.Uint32(val))
-			case id == fStWorker && wt == wt4:
-				m.Worker = types.WorkerID(int32(binary.BigEndian.Uint32(val)))
-			case id == fStDeque && wt == wt4:
-				m.Deque = int32(binary.BigEndian.Uint32(val))
-			case id == fStCount && wt == wtLen:
-				if m.Counters, err = readI64sCounted(val); err != nil {
-					return nil, err
-				}
-			case id == fStHists && wt == wtLen:
-				if m.Hists, err = readHistsCounted(val); err != nil {
-					return nil, err
-				}
-			case id == fStCkpts && wt == wtLen:
-				if m.Ckpts, err = readCkptsCounted(val); err != nil {
-					return nil, err
-				}
-			case id == fStSpanSeq && wt == wt8:
-				m.SpanSeq = binary.BigEndian.Uint64(val)
-			case id == fStOffNS && wt == wt8:
-				m.ClockOffNS = int64(binary.BigEndian.Uint64(val))
-			case id == fStSpans && wt == wtLen:
-				if m.Spans, err = readSpansCounted(val); err != nil {
-					return nil, err
-				}
-			}
-		}
-		p = m
-	default:
-		return nil, fmt.Errorf("wire: no v2 shape for %s", tagName(tag))
-	}
-	return p, w.finish()
 }
 
 // ---- Arena ----------------------------------------------------------------
@@ -915,9 +609,53 @@ var viewPool = sync.Pool{New: func() any { return new(View) }}
 // Name returns the payload's message name (e.g. "StealRequest").
 func (v *View) Name() string { return tagName(v.tag) }
 
-// Materialize decodes the view into the owned struct Decode would have
-// produced for the same frame.
-func (v *View) Materialize() (any, error) { return materializeV2(v.tag, v.body) }
+// Materialize decodes the view into an owned struct payload through the
+// typed accessors: strings, blobs and slices are copied out of the frame,
+// so the result survives arena reuse.
+func (v *View) Materialize() (any, error) {
+	switch v.tag {
+	case tStealRequest:
+		return StealRequest{Thief: StealRequestView{v.body}.Thief()}, nil
+	case tStealReply:
+		s := StealReplyView{v.body}
+		m := StealReply{OK: s.OK()}
+		if val, ok := v2field(s.b, fSRpTask, wtLen); ok {
+			var err error
+			if m.Task, err = (ClosureView{val}).materialize(); err != nil {
+				return nil, err
+			}
+		}
+		return m, nil
+	case tStealConfirm:
+		return StealConfirm{Record: StealConfirmView{v.body}.Record()}, nil
+	case tArg:
+		a := ArgView{v.body}
+		val, err := a.Val()
+		if err != nil {
+			return nil, err
+		}
+		return Arg{Cont: a.Cont(), Val: val, Crossed: a.Crossed(), TC: a.TC()}, nil
+	case tHeartbeat:
+		h := HeartbeatView{v.body}
+		return Heartbeat{Worker: h.Worker(), SendNS: h.SendNS()}, nil
+	case tAck:
+		return Ack{Seq: AckView{v.body}.Seq()}, nil
+	case tStatReport:
+		s := StatReportView{v.body}
+		m := StatReport{Ver: s.Ver(), Worker: s.Worker(), Deque: s.Deque(),
+			SpanSeq: s.SpanSeq(), ClockOffNS: s.ClockOffNS()}
+		var errs [4]error
+		m.Counters, errs[0] = s.Counters()
+		m.Hists, errs[1] = s.Hists()
+		m.Ckpts, errs[2] = s.Ckpts()
+		m.Spans, errs[3] = s.Spans()
+		if err := errors.Join(errs[:]...); err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
+	return nil, fmt.Errorf("wire: no v2 shape for %s", tagName(v.tag))
+}
 
 // Free releases the view's arena reference and recycles the view. The
 // view, and anything its accessors returned without copying, must not be
@@ -948,13 +686,13 @@ func (e *Envelope) Materialize() error {
 	return nil
 }
 
-// DecodeView parses one frame like Decode, but leaves hot v2 payloads in
-// place: the envelope's Payload is a pooled *View whose accessors read
-// frame's bytes directly. When arena is non-nil the view takes one
-// reference on it; either way the caller must keep frame's backing memory
-// alive until the envelope's final owner frees or materializes it.
-// Frames that are not v2 (old peers, cold control-plane tags) take the
-// materializing Decode path, which copies everything it retains.
+// DecodeView parses one frame, leaving hot v2 payloads in place: the
+// envelope's Payload is a pooled *View whose accessors read frame's bytes
+// directly. When arena is non-nil the view takes one reference on it;
+// either way the caller must keep frame's backing memory alive until the
+// envelope's final owner frees or materializes it. Cold tags decode their
+// v1 body into an owned struct, copying everything they retain. A frame
+// whose version byte does not match its tag's format is rejected.
 func DecodeView(frame []byte, arena *Arena) (env *Envelope, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -964,29 +702,45 @@ func DecodeView(frame []byte, arena *Arena) (env *Envelope, err error) {
 	if len(frame) < frameHeaderLen {
 		return nil, fmt.Errorf("wire: short frame (%d bytes)", len(frame))
 	}
-	if frame[4] != frameVersionV2 {
-		return Decode(frame)
-	}
 	n := binary.BigEndian.Uint32(frame[:4])
 	if int64(n) != int64(len(frame)-4) {
 		return nil, fmt.Errorf("wire: frame length mismatch: header %d, body %d", n, len(frame)-4)
 	}
-	tag := frame[5]
-	body := frame[frameHeaderLen:]
-	if err := validateV2(tag, body); err != nil {
-		return nil, fmt.Errorf("wire: decode %s: %w", tagName(tag), err)
+	ver, tag := frame[4], frame[5]
+	if ver != frameVersion && ver != frameVersionV2 {
+		return nil, fmt.Errorf("%w %d", errFrameVersion, ver)
 	}
-	v := viewPool.Get().(*View)
-	v.tag, v.body, v.arena = tag, body, arena
-	if arena != nil {
-		arena.Retain()
+	if (ver == frameVersionV2) != v2Tag(tag) {
+		return nil, fmt.Errorf("wire: decode %s: frame version %d is not this tag's format", tagName(tag), ver)
+	}
+	body := frame[frameHeaderLen:]
+	var payload any
+	if ver == frameVersionV2 {
+		if err := validateV2(body); err != nil {
+			return nil, fmt.Errorf("wire: decode %s: %w", tagName(tag), err)
+		}
+		v := viewPool.Get().(*View)
+		v.tag, v.body, v.arena = tag, body, arena
+		if arena != nil {
+			arena.Retain()
+		}
+		payload = v
+	} else {
+		r := reader{b: body}
+		payload = readPayload(&r, tag)
+		if r.err == nil && r.off != len(r.b) {
+			r.err = fmt.Errorf("%d trailing bytes", len(r.b)-r.off)
+		}
+		if r.err != nil {
+			return nil, fmt.Errorf("wire: decode %s: %w", tagName(tag), r.err)
+		}
 	}
 	e := envelopePool.Get().(*Envelope)
 	e.Job = types.JobID(int64(binary.BigEndian.Uint64(frame[6:14])))
 	e.From = types.WorkerID(int32(binary.BigEndian.Uint32(frame[14:18])))
 	e.To = types.WorkerID(int32(binary.BigEndian.Uint32(frame[18:22])))
 	e.Seq = binary.BigEndian.Uint64(frame[22:30])
-	e.Payload = v
+	e.Payload = payload
 	return e, nil
 }
 
@@ -1047,6 +801,7 @@ func (c ClosureView) Fn() string {
 // AppendArgs decodes the argument slots onto dst (typically a pooled
 // closure's recycled backing array) and returns the extended slice.
 // Argument values are owned copies; a missing args field appends nothing.
+// A nil dst gets a slice sized to the argument count.
 func (c ClosureView) AppendArgs(dst []types.Value) ([]types.Value, error) {
 	val, ok := v2field(c.b, fClArgs, wtLen)
 	if !ok {
@@ -1054,8 +809,11 @@ func (c ClosureView) AppendArgs(dst []types.Value) ([]types.Value, error) {
 	}
 	r := reader{b: val}
 	n := int(r.u32())
-	if r.err == nil && n > r.rem() {
+	if r.err == nil && n > r.rem() { // a value is at least one tag byte
 		r.fail()
+	}
+	if dst == nil && r.err == nil {
+		dst = make([]types.Value, 0, n) // one allocation; present-but-empty stays non-nil
 	}
 	for i := 0; i < n && r.err == nil; i++ {
 		dst = append(dst, r.value(0))
@@ -1088,6 +846,25 @@ func (c ClosureView) CkptSeq() uint64 { return v2u64(c.b, fClCkptSeq) }
 
 // TC is the closure's trace context.
 func (c ClosureView) TC() TraceCtx { return v2tc(c.b, fClTC) }
+
+// materialize copies the closure out of the frame. It checks the nested
+// sub-body's framing first: the accessors stop at the field they want, so
+// without the walk a damaged tail would go unnoticed.
+func (c ClosureView) materialize() (Closure, error) {
+	if err := validateV2(c.b); err != nil {
+		return Closure{}, err
+	}
+	args, err := c.AppendArgs(nil)
+	if err != nil {
+		return Closure{}, err
+	}
+	cl := Closure{ID: c.ID(), Fn: c.Fn(), Args: args, Missing: c.Missing(), Cont: c.Cont(),
+		NoSteal: c.NoSteal(), CkptSeq: c.CkptSeq(), TC: c.TC()}
+	if blob, ok := c.Ckpt(); ok {
+		cl.Ckpt = append([]byte{}, blob...)
+	}
+	return cl, nil
+}
 
 // StealConfirmView reads a StealConfirm in place.
 type StealConfirmView struct{ b []byte }
@@ -1175,9 +952,9 @@ func (v *View) AsAck() (AckView, bool) {
 // Seq is the acknowledged sequence number.
 func (a AckView) Seq() uint64 { return v2u64(a.b, fAckSeq) }
 
-// StatReportView reads a StatReport's header fields in place. The bulky
-// slices (counters, histograms, checkpoints, spans) are reached through
-// Materialize — consumers that fold them retain them anyway.
+// StatReportView reads a StatReport in place. The bulky slices
+// (counters, histograms, checkpoints, spans) decode into owned copies —
+// consumers that fold them retain them anyway.
 type StatReportView struct{ b []byte }
 
 // AsStatReport returns a typed accessor when the view is a StatReport.
@@ -1204,3 +981,31 @@ func (s StatReportView) SpanSeq() uint64 { return v2u64(s.b, fStSpanSeq) }
 
 // ClockOffNS is the worker's clock-offset estimate.
 func (s StatReportView) ClockOffNS() int64 { return int64(v2u64(s.b, fStOffNS)) }
+
+// Counters decodes the counter vector (nil when absent).
+func (s StatReportView) Counters() ([]int64, error) {
+	return statSlice(s.b, fStCount, 8, (*reader).i64)
+}
+
+// Hists decodes the histogram states (nil when absent).
+func (s StatReportView) Hists() ([]HistState, error) {
+	return statSlice(s.b, fStHists, 21, (*reader).hist) // kind + count + sum + nil-flag
+}
+
+// Ckpts decodes the piggybacked checkpoint blobs (nil when absent).
+func (s StatReportView) Ckpts() ([]TaskCkpt, error) {
+	return statSlice(s.b, fStCkpts, 21, (*reader).taskCkpt) // taskID + seq + blob flag
+}
+
+// Spans decodes the sealed span batch (nil when absent).
+func (s StatReportView) Spans() ([]Span, error) {
+	return statSlice(s.b, fStSpans, spanWireLen, (*reader).span)
+}
+
+func statSlice[T any](body []byte, id byte, minElem int, elem func(*reader) T) ([]T, error) {
+	val, ok := v2field(body, id, wtLen)
+	if !ok {
+		return nil, nil
+	}
+	return readCounted(val, minElem, elem)
+}

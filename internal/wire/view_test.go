@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -39,8 +41,8 @@ func decodeView(t *testing.T, frame []byte) (*Envelope, *View) {
 
 // TestViewDifferential is the property test of the zero-copy decoder:
 // for every hot message, the view accessors and View.Materialize must
-// agree exactly with what the materializing Decode produces for the same
-// frame.
+// reproduce exactly the struct that was encoded. (Decode is Materialize
+// over a view, so it is checked through the same comparison.)
 func TestViewDifferential(t *testing.T) {
 	for _, p := range hotPayloads() {
 		env := &Envelope{Job: 2, From: -1, To: 5, Seq: 77, Payload: p}
@@ -48,27 +50,23 @@ func TestViewDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode %T: %v", p, err)
 		}
-		want, err := Decode(frame)
-		if err != nil {
-			t.Fatalf("decode %T: %v", p, err)
-		}
 		venv, view := decodeView(t, frame)
-		if venv.Job != want.Job || venv.From != want.From || venv.To != want.To || venv.Seq != want.Seq {
+		if venv.Job != env.Job || venv.From != env.From || venv.To != env.To || venv.Seq != env.Seq {
 			t.Fatalf("%T: view envelope header mismatch", p)
 		}
 		got, err := view.Materialize()
 		if err != nil {
 			t.Fatalf("%T: materialize: %v", p, err)
 		}
-		if !reflect.DeepEqual(got, want.Payload) {
-			t.Errorf("%T: materialized view != decoded struct\n view   %#v\n decode %#v", p, got, want.Payload)
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("%T: materialized view != encoded struct\n view    %#v\n encoded %#v", p, got, p)
 		}
-		checkAccessors(t, view, want.Payload)
+		checkAccessors(t, view, p)
 		venv.Free()
 	}
 }
 
-// checkAccessors compares every lazy accessor against the decoded struct.
+// checkAccessors compares every lazy accessor against the encoded struct.
 func checkAccessors(t *testing.T, v *View, payload any) {
 	t.Helper()
 	switch m := payload.(type) {
@@ -117,6 +115,17 @@ func checkAccessors(t *testing.T, v *View, payload any) {
 			s.SpanSeq() != m.SpanSeq || s.ClockOffNS() != m.ClockOffNS {
 			t.Errorf("StatReport view header mismatch: %#v", m)
 		}
+		counters, err1 := s.Counters()
+		hists, err2 := s.Hists()
+		ckpts, err3 := s.Ckpts()
+		spans, err4 := s.Spans()
+		if err := errors.Join(err1, err2, err3, err4); err != nil {
+			t.Fatalf("StatReport view slices: %v", err)
+		}
+		if !reflect.DeepEqual(counters, m.Counters) || !reflect.DeepEqual(hists, m.Hists) ||
+			!reflect.DeepEqual(ckpts, m.Ckpts) || !reflect.DeepEqual(spans, m.Spans) {
+			t.Errorf("StatReport view slices mismatch: %#v", m)
+		}
 	default:
 		t.Fatalf("unexpected hot payload %T", payload)
 	}
@@ -147,33 +156,40 @@ func checkClosureView(t *testing.T, cv ClosureView, c Closure) {
 	}
 }
 
-// TestViewOfLegacyFrame: a v1 frame from an old sender must still decode
-// through DecodeView (falling back to materialization) with an identical
-// payload — new daemon, old peer.
-func TestViewOfLegacyFrame(t *testing.T) {
-	for _, p := range hotPayloads() {
-		env := &Envelope{Job: 1, From: 2, To: 3, Seq: 9, Payload: p}
-		legacy, err := AppendEncodeLegacy(nil, env)
+// TestLegacyHotFrameRejected pins one format per tag: a hot tag in a v1
+// frame (the positional body old senders wrote) and a cold tag in a v2
+// frame are both refused by Decode and DecodeView, never misparsed.
+func TestLegacyHotFrameRejected(t *testing.T) {
+	reject := func(name string, frame []byte) {
+		t.Helper()
+		if env, err := Decode(frame); err == nil {
+			t.Errorf("Decode accepted %s: %v", name, env)
+		}
+		if env, err := DecodeView(frame, nil); err == nil {
+			t.Errorf("DecodeView accepted %s: %v", name, env)
+			env.Free()
+		}
+	}
+	// The old v1 StealRequest body: the thief as a bare i32.
+	reject("v1 StealRequest", rawFrame(frameVersion, tStealRequest, []byte{0, 0, 0, 7}))
+	for _, p := range everyPayload() {
+		frame, err := Encode(&Envelope{Job: 1, From: 2, To: 3, Seq: 9, Payload: p})
 		if err != nil {
-			t.Fatalf("legacy encode %T: %v", p, err)
+			t.Fatalf("encode %T: %v", p, err)
 		}
-		if legacy[4] != frameVersion {
-			t.Fatalf("legacy frame version = %d", legacy[4])
+		if v2Tag(frame[5]) {
+			frame[4] = frameVersion
+		} else {
+			frame[4] = frameVersionV2
 		}
-		got, err := DecodeView(legacy, nil)
-		if err != nil {
-			t.Fatalf("DecodeView(v1 %T): %v", p, err)
-		}
-		if !reflect.DeepEqual(got, env) {
-			t.Errorf("%T: v1 frame through DecodeView mismatch", p)
-		}
+		reject(fmt.Sprintf("%T under version %d", p, frame[4]), frame)
 	}
 }
 
-// rawV2Frame assembles a v2 frame by hand — the "newer encoder" a
+// rawFrame assembles a frame by hand — the "other encoder" a
 // cross-version test needs.
-func rawV2Frame(tag byte, body []byte) []byte {
-	frame := []byte{0, 0, 0, 0, frameVersionV2, tag}
+func rawFrame(ver, tag byte, body []byte) []byte {
+	frame := []byte{0, 0, 0, 0, ver, tag}
 	frame = appendI64(frame, 1)
 	frame = appendI32(frame, 2)
 	frame = appendI32(frame, 3)
@@ -195,7 +211,7 @@ func TestV2UnknownFieldSkip(t *testing.T) {
 	body = append(body, fSRqThief<<2|wt4, 0, 0, 0, 7)
 	body = append(body, 20<<2|wtLen, 0, 0, 0, 3, 1, 2, 3)
 	body = append(body, 9<<2|wt1, 1)
-	frame := rawV2Frame(tStealRequest, body)
+	frame := rawFrame(frameVersionV2, tStealRequest, body)
 
 	env, err := Decode(frame)
 	if err != nil {
@@ -230,7 +246,7 @@ func TestV2UnknownFieldSkip(t *testing.T) {
 	body = []byte{2, fSRpOK<<2 | wt1, 1, fSRpTask<<2 | wtLen}
 	body = appendU32(body, uint32(len(sub)))
 	body = append(body, sub...)
-	frame = rawV2Frame(tStealReply, body)
+	frame = rawFrame(frameVersionV2, tStealReply, body)
 
 	env, err = Decode(frame)
 	if err != nil {
@@ -251,7 +267,7 @@ func TestV2UnknownFieldSkip(t *testing.T) {
 	// of the key are the field's identity.
 	body = []byte{1}
 	body = append(body, fSRqThief<<2|wt8, 0, 0, 0, 0, 0, 0, 0, 7)
-	frame = rawV2Frame(tStealRequest, body)
+	frame = rawFrame(frameVersionV2, tStealRequest, body)
 	env, err = Decode(frame)
 	if err != nil {
 		t.Fatalf("wrong-wiretype decode: %v", err)
@@ -285,6 +301,13 @@ func TestViewTruncatedFrames(t *testing.T) {
 				t.Fatalf("%T: truncated view frame of %d/%d bytes decoded successfully", p, k, len(frame))
 			}
 		}
+	}
+	// A cut closure sub-body inside intact outer framing: the view decodes
+	// (nested content is checked lazily), but materializing refuses it.
+	sub := []byte{2, fClFn<<2 | wtLen, 0, 0, 0, 3, 'f', 'i', 'b'} // declares 2 fields, carries 1
+	body := appendU32([]byte{1, fSRpTask<<2 | wtLen}, uint32(len(sub)))
+	if env, err := Decode(rawFrame(frameVersionV2, tStealReply, append(body, sub...))); err == nil {
+		t.Fatalf("cut closure sub-body decoded: %v", env)
 	}
 }
 
@@ -347,6 +370,10 @@ func exerciseView(v *View) {
 	if s, ok := v.AsStatReport(); ok {
 		_, _, _ = s.Ver(), s.Worker(), s.Deque()
 		_, _ = s.SpanSeq(), s.ClockOffNS()
+		_, _ = s.Counters()
+		_, _ = s.Hists()
+		_, _ = s.Ckpts()
+		_, _ = s.Spans()
 	}
 	_, _ = v.Materialize()
 }

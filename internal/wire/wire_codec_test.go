@@ -408,26 +408,34 @@ func TestFrameReaderStream(t *testing.T) {
 	}
 }
 
-// TestGobReferenceCodec keeps the old gob codec honest — it remains the
-// fallback boundary and the benchmark baseline.
-func TestGobReferenceCodec(t *testing.T) {
-	env := &Envelope{Job: 2, From: 1, To: 5, Seq: 77,
-		Payload: StealReply{OK: true, Task: Closure{ID: types.TaskID{Worker: 1, Seq: 2}, Fn: "f", Args: []types.Value{int64(1)}}}}
-	b, err := EncodeGob(env)
+// TestEncodeDeterministic: a frame's bytes are a function of its message
+// — map-valued fields (PauseAck's per-worker counts) are written in worker
+// order, not map iteration order.
+func TestEncodeDeterministic(t *testing.T) {
+	sent := make(map[types.WorkerID]int64)
+	for w := types.WorkerID(-3); w < 29; w++ {
+		sent[w] = int64(w) * 7
+	}
+	env := &Envelope{Payload: PauseAck{Seq: 1, Worker: 2, SentTo: sent, RecvFr: sent}}
+	first, err := Encode(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeGob(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(env, out) {
-		t.Errorf("gob round trip mismatch")
+	for i := 0; i < 8; i++ {
+		again, err := Encode(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, again) {
+			t.Fatal("PauseAck encoding depends on map iteration order")
+		}
 	}
 }
 
-// FuzzDecode hammers the binary decoder with mutated frames; any panic
-// fails the fuzz run. Seeds cover every message type.
+// FuzzDecode hammers the binary decoder with mutated frames. Beyond never
+// panicking, encoding must be a fixed point: a frame that decodes is a
+// message, and re-encoding it, decoding that and encoding again yields
+// the same bytes. Seeds cover every message type.
 func FuzzDecode(f *testing.F) {
 	for _, p := range everyPayload() {
 		frame, err := Encode(&Envelope{Job: 1, From: 2, To: 3, Seq: 4, Payload: p})
@@ -441,10 +449,23 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := Decode(data)
-		if err == nil && env != nil {
-			// A frame that decodes must re-encode (identity is checked
-			// elsewhere; here we only require no panic on the round).
-			_, _ = Encode(env)
+		if err != nil {
+			return
+		}
+		first, err := Encode(env)
+		if err != nil {
+			t.Fatalf("decoded %v does not re-encode: %v", env, err)
+		}
+		again, err := Decode(first)
+		if err != nil {
+			t.Fatalf("re-encoded %v does not decode: %v", env, err)
+		}
+		second, err := Encode(again)
+		if err != nil {
+			t.Fatalf("second re-encode of %v: %v", again, err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encoding is not a fixed point for %v:\n first  %x\n second %x", env, first, second)
 		}
 	})
 }
